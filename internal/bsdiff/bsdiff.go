@@ -12,18 +12,18 @@
 // top by package lzss, exactly as in the paper's pipeline.
 package bsdiff
 
-import (
-	"bytes"
-	"sort"
-)
+import "bytes"
 
 // Diff computes a patch that transforms old into new. Apply the result
 // with Apply or stream it through an Applier.
 func Diff(old, new []byte) []byte {
+	return diffWith(buildSuffixArray(old), old, new)
+}
+
+// diffWith is Diff given the suffix array of old.
+func diffWith(sa []int32, old, new []byte) []byte {
 	var p patchWriter
 	p.writeHeader(len(old), len(new))
-
-	sa := buildSuffixArray(old)
 
 	var (
 		scan, length, pos             int
@@ -144,54 +144,6 @@ func search(sa []int32, old, target []byte) (pos, length int) {
 		return int(sa[st]), lx
 	}
 	return int(sa[en]), ly
-}
-
-// buildSuffixArray constructs a suffix array by prefix doubling
-// (O(n log^2 n)), which is plenty for constrained-device firmware sizes.
-func buildSuffixArray(data []byte) []int32 {
-	n := len(data)
-	sa := make([]int32, n)
-	rank := make([]int, n)
-	tmp := make([]int, n)
-	for i := range n {
-		sa[i] = int32(i)
-		rank[i] = int(data[i])
-	}
-	for k := 1; ; k *= 2 {
-		key := func(i int) (int, int) {
-			second := -1
-			if i+k < n {
-				second = rank[i+k]
-			}
-			return rank[i], second
-		}
-		sort.Slice(sa, func(a, b int) bool {
-			ra1, ra2 := key(int(sa[a]))
-			rb1, rb2 := key(int(sa[b]))
-			if ra1 != rb1 {
-				return ra1 < rb1
-			}
-			return ra2 < rb2
-		})
-		if n > 0 {
-			tmp[sa[0]] = 0
-			for i := 1; i < n; i++ {
-				p1, p2 := key(int(sa[i-1]))
-				c1, c2 := key(int(sa[i]))
-				tmp[sa[i]] = tmp[sa[i-1]]
-				if p1 != c1 || p2 != c2 {
-					tmp[sa[i]]++
-				}
-			}
-			copy(rank, tmp)
-			if rank[sa[n-1]] == n-1 {
-				break
-			}
-		} else {
-			break
-		}
-	}
-	return sa
 }
 
 // Apply is the one-shot patch application used by tests and host tools.

@@ -37,7 +37,7 @@ type BlockServer struct {
 
 // Handle is the CoAP Handler for the named-block resource.
 func (s *BlockServer) Handle(req *Message) *Message {
-	if req.Code != CodeGET || req.Path() != PathBlocks {
+	if req.Code != CodeGET || !req.PathIs(PathBlocks) {
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}
 	}
 	raw, ok := req.Query("b")

@@ -44,6 +44,9 @@ type LinkExchanger struct {
 	Telemetry *telemetry.Registry
 
 	nextMID uint16
+	// Counter handles, resolved on Telemetry at first use rather than
+	// through the registry (mutex, label key, map) on every exchange.
+	exchanges, retransmissions *telemetry.Counter
 }
 
 // Exchange implements Exchanger.
@@ -62,7 +65,10 @@ func (e *LinkExchanger) Exchange(req *Message) (*Message, error) {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	e.Telemetry.Counter("upkit_coap_exchanges_total", "Confirmable CoAP exchanges attempted.").Inc()
+	if e.exchanges == nil {
+		e.exchanges = e.Telemetry.Counter("upkit_coap_exchanges_total", "Confirmable CoAP exchanges attempted.")
+	}
+	e.exchanges.Inc()
 	for attempt := 0; ; attempt++ {
 		resp, err := e.once(req, enc)
 		if err == nil {
@@ -71,7 +77,10 @@ func (e *LinkExchanger) Exchange(req *Message) (*Message, error) {
 		if !errors.Is(err, transport.ErrLost) || attempt >= retries {
 			return nil, err
 		}
-		e.Telemetry.Counter("upkit_coap_retransmissions_total", "CoAP retransmissions after lost frames (RFC 7252 §4.2).").Inc()
+		if e.retransmissions == nil {
+			e.retransmissions = e.Telemetry.Counter("upkit_coap_retransmissions_total", "CoAP retransmissions after lost frames (RFC 7252 §4.2).")
+		}
+		e.retransmissions.Inc()
 		// Retransmission timeout with binary exponential backoff.
 		if e.Link.Clock != nil {
 			e.Link.Clock.Advance(timeout << uint(attempt))

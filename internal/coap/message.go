@@ -7,10 +7,11 @@
 package coap
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -118,6 +119,28 @@ func (m *Message) Path() string {
 	return "/" + strings.Join(segs, "/")
 }
 
+// PathIs reports whether Path() == path without building that string:
+// each Uri-Path option must spell the next "/segment" of path. Request
+// routing asks this several times per message.
+func (m *Message) PathIs(path string) bool {
+	rest, segments := path, 0
+	for _, o := range m.Options {
+		if o.Number != OptUriPath {
+			continue
+		}
+		n := 1 + len(o.Value)
+		if len(rest) < n || rest[0] != '/' || rest[1:n] != string(o.Value) {
+			return false
+		}
+		rest = rest[n:]
+		segments++
+	}
+	if segments == 0 {
+		return path == "/"
+	}
+	return rest == ""
+}
+
 // Query returns the first Uri-Query option with prefix "key=".
 func (m *Message) Query(key string) (string, bool) {
 	prefix := key + "="
@@ -134,15 +157,24 @@ func (m *Message) Marshal() ([]byte, error) {
 	if len(m.Token) > 8 {
 		return nil, ErrBadToken
 	}
-	buf := make([]byte, 0, 4+len(m.Token)+len(m.Payload)+4*len(m.Options))
+	// Options travel in ascending number order. Every builder in the
+	// tree adds them that way, so sorting (a copy, stably) is the
+	// exception.
+	opts := m.Options
+	byNumber := func(a, b Option) int { return cmp.Compare(a.Number, b.Number) }
+	if !slices.IsSortedFunc(opts, byNumber) {
+		opts = slices.Clone(opts)
+		slices.SortStableFunc(opts, byNumber)
+	}
+	size := 4 + len(m.Token) + 1 + len(m.Payload)
+	for _, o := range opts {
+		size += 5 + len(o.Value) // header byte + two 2-byte extensions
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, Version<<6|byte(m.Type)<<4|byte(len(m.Token)))
 	buf = append(buf, byte(m.Code))
 	buf = binary.BigEndian.AppendUint16(buf, m.MessageID)
 	buf = append(buf, m.Token...)
-
-	opts := make([]Option, len(m.Options))
-	copy(opts, m.Options)
-	sort.SliceStable(opts, func(i, j int) bool { return opts[i].Number < opts[j].Number })
 
 	var prev uint16
 	for _, o := range opts {
@@ -161,28 +193,41 @@ func (m *Message) Marshal() ([]byte, error) {
 // appendOptionHeader encodes the delta/length nibbles with 13/14
 // extensions (RFC 7252 §3.1).
 func appendOptionHeader(buf []byte, delta, length int) []byte {
-	dn, dext := nibble(delta)
-	ln, lext := nibble(length)
+	dn, ln := nibble(delta), nibble(length)
 	buf = append(buf, dn<<4|ln)
-	buf = append(buf, dext...)
-	buf = append(buf, lext...)
-	return buf
+	buf = appendExt(buf, dn, delta)
+	return appendExt(buf, ln, length)
 }
 
-func nibble(v int) (byte, []byte) {
+// nibble returns the 4-bit encoding of v: the value itself, or 13/14
+// announcing a one- or two-byte extension.
+func nibble(v int) byte {
 	switch {
 	case v < 13:
-		return byte(v), nil
+		return byte(v)
 	case v < 269:
-		return 13, []byte{byte(v - 13)}
+		return 13
 	default:
-		ext := make([]byte, 2)
-		binary.BigEndian.PutUint16(ext, uint16(v-269))
-		return 14, ext
+		return 14
 	}
 }
 
-// Unmarshal decodes a message per RFC 7252 §3.
+// appendExt appends the extension bytes nibble nib announces for v.
+func appendExt(buf []byte, nib byte, v int) []byte {
+	switch nib {
+	case 13:
+		return append(buf, byte(v-13))
+	case 14:
+		return binary.BigEndian.AppendUint16(buf, uint16(v-269))
+	default:
+		return buf
+	}
+}
+
+// Unmarshal decodes a message per RFC 7252 §3. The message never
+// aliases data: token, option values and payload are sub-slices of one
+// private copy of the datagram, each with its capacity capped at its
+// length so that appending to one field cannot reach the next.
 func Unmarshal(data []byte) (*Message, error) {
 	if len(data) < 4 {
 		return nil, ErrTruncatedMessage
@@ -203,8 +248,9 @@ func Unmarshal(data []byte) (*Message, error) {
 	if len(data) < pos+tkl {
 		return nil, ErrTruncatedMessage
 	}
+	data = slices.Clone(data)
 	if tkl > 0 {
-		m.Token = append([]byte{}, data[pos:pos+tkl]...)
+		m.Token = data[pos : pos+tkl : pos+tkl]
 	}
 	pos += tkl
 
@@ -215,7 +261,7 @@ func Unmarshal(data []byte) (*Message, error) {
 			if pos == len(data) {
 				return nil, fmt.Errorf("%w: empty payload after marker", ErrTruncatedMessage)
 			}
-			m.Payload = append([]byte{}, data[pos:]...)
+			m.Payload = data[pos:len(data):len(data)]
 			return m, nil
 		}
 		dn := int(data[pos] >> 4)
@@ -235,10 +281,12 @@ func Unmarshal(data []byte) (*Message, error) {
 			return nil, ErrTruncatedMessage
 		}
 		prev += uint16(delta)
-		m.Options = append(m.Options, Option{
-			Number: prev,
-			Value:  append([]byte{}, data[pos:pos+length]...),
-		})
+		if m.Options == nil {
+			// The UpKit requests carry four options (two path segments,
+			// query, Block2); one allocation covers them.
+			m.Options = make([]Option, 0, 4)
+		}
+		m.Options = append(m.Options, Option{Number: prev, Value: data[pos : pos+length : pos+length]})
 		pos += length
 	}
 	return m, nil

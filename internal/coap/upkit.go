@@ -1,6 +1,7 @@
 package coap
 
 import (
+	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,6 +64,7 @@ type sessionKey struct {
 // a fresh update — with payload encryption a fresh prepare would pick a
 // new IV and the resumed mid-stream decryption would fail verification.
 type session struct {
+	key      sessionKey
 	manifest []byte
 	payload  []byte
 	// name is the payload's content address — what GET /upkit/name
@@ -82,12 +84,26 @@ type session struct {
 	scratch []byte
 }
 
+// size is what the session counts for against maxSessionBytes.
+func (sess *session) size() int { return len(sess.manifest) + len(sess.payload) }
+
+// maxSessionBytes bounds the manifest and payload bytes the session
+// table retains, so the table does not grow with the number of updates
+// served. A device whose session was evicted gets 4.04 on its next
+// block and re-presents its token (PullClient.fetchOrigin), which
+// prepares the session again.
+const maxSessionBytes = 32 << 20
+
 // PullServer adapts an update server to CoAP for pulling devices.
 type PullServer struct {
 	Updates *updateserver.Server
 
+	// The session table: least recently used sessions are evicted once
+	// the retained bytes exceed maxSessionBytes.
 	mu       sync.Mutex
-	sessions map[sessionKey]*session
+	sessions map[sessionKey]*list.Element // of *session
+	lru      *list.List                   // front = most recently used
+	retained int
 
 	// blockSrv serves GET /upkit/blocks from the update server's block
 	// registry; nil (no update server) turns the route into NotFound.
@@ -108,7 +124,7 @@ type PullServer struct {
 // NewPullServer wraps updates, recording CoAP request and block counts
 // on the update server's telemetry registry.
 func NewPullServer(updates *updateserver.Server) *PullServer {
-	s := &PullServer{Updates: updates, sessions: make(map[sessionKey]*session)}
+	s := &PullServer{Updates: updates, sessions: make(map[sessionKey]*list.Element), lru: list.New()}
 	var reg *telemetry.Registry
 	if updates != nil {
 		reg = updates.Telemetry()
@@ -154,28 +170,62 @@ func (s *PullServer) Handle(req *Message) *Message {
 
 func (s *PullServer) route(req *Message) *Message {
 	switch {
-	case req.Code == CodeGET && req.Path() == PathVersion:
+	case req.Code == CodeGET && req.PathIs(PathVersion):
 		s.reqVersion.Inc()
 		return s.handleVersion(req)
-	case req.Code == CodePOST && req.Path() == PathRequest:
+	case req.Code == CodePOST && req.PathIs(PathRequest):
 		s.reqRequest.Inc()
 		return s.handleRequest(req)
-	case req.Code == CodeGET && req.Path() == PathImage:
+	case req.Code == CodeGET && req.PathIs(PathImage):
 		s.reqImage.Inc()
 		return s.handleImage(req)
-	case req.Code == CodeGET && req.Path() == PathKeys:
+	case req.Code == CodeGET && req.PathIs(PathKeys):
 		s.reqKeys.Inc()
 		return s.handleKeys()
-	case req.Code == CodeGET && req.Path() == PathName:
+	case req.Code == CodeGET && req.PathIs(PathName):
 		s.reqName.Inc()
 		return s.handleName(req)
-	case req.Code == CodeGET && req.Path() == PathBlocks && s.blockSrv != nil:
+	case req.Code == CodeGET && req.PathIs(PathBlocks) && s.blockSrv != nil:
 		s.reqBlocks.Inc()
 		return s.blockSrv.Handle(req)
 	default:
 		s.reqOther.Inc()
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}
 	}
+}
+
+// session returns the session for key and marks it most recently used.
+func (s *PullServer) session(key sessionKey) (*session, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.sessions[key]
+	if !ok {
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	return el.Value.(*session), true
+}
+
+// addSession stores sess as the most recently used session, replacing
+// one with the same key, and evicts from the least recently used end —
+// never sess itself — until the table fits maxSessionBytes again.
+func (s *PullServer) addSession(sess *session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.sessions[sess.key]; ok {
+		s.removeSessionLocked(old)
+	}
+	s.sessions[sess.key] = s.lru.PushFront(sess)
+	s.retained += sess.size()
+	for s.retained > maxSessionBytes && s.lru.Len() > 1 {
+		s.removeSessionLocked(s.lru.Back())
+	}
+}
+
+func (s *PullServer) removeSessionLocked(el *list.Element) {
+	sess := s.lru.Remove(el).(*session)
+	delete(s.sessions, sess.key)
+	s.retained -= sess.size()
 }
 
 func parseHexQuery(req *Message, key string) (uint32, bool) {
@@ -216,19 +266,14 @@ func (s *PullServer) handleRequest(req *Message) *Message {
 	key := sessionKey{tok.DeviceID, tok.Nonce}
 	// Idempotent per (device, nonce): a repeated POST with the same token
 	// replays the stored session instead of preparing a new one.
-	s.mu.Lock()
-	if sess, ok := s.sessions[key]; ok {
-		s.mu.Unlock()
+	if sess, ok := s.session(key); ok {
 		return &Message{Type: Acknowledgement, Code: CodeContent, Payload: sess.manifest}
 	}
-	s.mu.Unlock()
 	u, err := s.Updates.PrepareUpdate(appID, tok)
 	if err != nil {
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}
 	}
-	s.mu.Lock()
-	s.sessions[key] = &session{manifest: u.ManifestBytes, payload: u.Payload, name: u.PayloadName}
-	s.mu.Unlock()
+	s.addSession(&session{key: key, manifest: u.ManifestBytes, payload: u.Payload, name: u.PayloadName})
 	return &Message{Type: Acknowledgement, Code: CodeContent, Payload: u.ManifestBytes}
 }
 
@@ -255,9 +300,7 @@ func (s *PullServer) handleName(req *Message) *Message {
 	if !ok1 || !ok2 {
 		return &Message{Type: Acknowledgement, Code: CodeBadReq}
 	}
-	s.mu.Lock()
-	sess, ok := s.sessions[sessionKey{deviceID, nonce}]
-	s.mu.Unlock()
+	sess, ok := s.session(sessionKey{deviceID, nonce})
 	if !ok {
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}
 	}
@@ -273,9 +316,7 @@ func (s *PullServer) handleImage(req *Message) *Message {
 	if !ok1 || !ok2 {
 		return &Message{Type: Acknowledgement, Code: CodeBadReq}
 	}
-	s.mu.Lock()
-	sess, ok := s.sessions[sessionKey{deviceID, nonce}]
-	s.mu.Unlock()
+	sess, ok := s.session(sessionKey{deviceID, nonce})
 	if !ok {
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}
 	}

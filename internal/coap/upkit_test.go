@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"upkit/internal/coap"
+	"upkit/internal/manifest"
 	"upkit/internal/platform"
+	"upkit/internal/telemetry"
 	"upkit/internal/testbed"
 )
 
@@ -344,4 +346,92 @@ func TestCompromisedBorderRouter(t *testing.T) {
 			t.Fatal("device staged a replayed update")
 		}
 	})
+}
+
+// TestEvictedSessionMidTransferCompletes: the origin forgets a
+// plaintext device's session halfway through its image transfer —
+// pushed out of the bounded session table by a wave of other devices —
+// and the device still completes: the next block answers 4.04, the
+// client re-presents its token once, the origin prepares the same
+// payload bytes again, and the image verifies against the manifest the
+// device accepted at the start.
+func TestEvictedSessionMidTransferCompletes(t *testing.T) {
+	b := newPullBed(t, true)
+	origin := b.PullHandler()
+	imageBlocks, requests, notFound := 0, 0, 0
+	flood := func() {
+		// 32 MiB of other devices' sessions, 24 KiB each.
+		for d := uint32(1); d <= 1500; d++ {
+			tok, _ := manifest.DeviceToken{DeviceID: d, Nonce: d}.MarshalBinary()
+			req := &coap.Message{Type: coap.Confirmable, Code: coap.CodePOST, Payload: tok}
+			req.SetPath(coap.PathRequest)
+			req.AddOption(coap.OptUriQuery, []byte("app=2a"))
+			if resp := origin(req); resp.Code != coap.CodeContent {
+				t.Fatalf("flood device %d refused: %s", d, resp.Code)
+			}
+		}
+	}
+	pc := b.PullClient()
+	pc.Ex.(*coap.LinkExchanger).Handler = func(req *coap.Message) *coap.Message {
+		switch {
+		case req.PathIs(coap.PathRequest):
+			requests++
+		case req.PathIs(coap.PathImage):
+			if imageBlocks++; imageBlocks == 100 {
+				flood()
+			}
+		}
+		resp := origin(req)
+		if req.PathIs(coap.PathImage) && resp.Code == coap.CodeNotFound {
+			notFound++
+		}
+		return resp
+	}
+	staged, err := pc.CheckAndUpdate()
+	if err != nil || !staged {
+		t.Fatalf("CheckAndUpdate = %v, %v after a mid-transfer eviction", staged, err)
+	}
+	if notFound != 1 || requests != 2 {
+		t.Fatalf("saw %d 4.04 answers and %d session requests, want 1 and 2 (one re-establish)", notFound, requests)
+	}
+	res, err := b.Device.ApplyStagedUpdate()
+	if err != nil || res.Version != 2 {
+		t.Fatalf("boot after the transfer: v%d, %v", res.Version, err)
+	}
+}
+
+// TestLinkExchangerCountsOnItsRegistry pins what the cached counter
+// handles must keep doing: one exchange counted per Exchange and one
+// retransmission per lost attempt, on the registry the exchanger was
+// given — also when, as the benchmark's tracer does, the Handler is
+// replaced after the exchanger was built.
+func TestLinkExchangerCountsOnItsRegistry(t *testing.T) {
+	b := newPullBed(t, true)
+	reg := telemetry.NewRegistry()
+	ex := &coap.LinkExchanger{Link: b.Link, Telemetry: reg}
+	ex.Handler = b.PullHandler()
+	exchanges := reg.Counter("upkit_coap_exchanges_total", "")
+	retransmissions := reg.Counter("upkit_coap_retransmissions_total", "")
+	poll := func() error {
+		req := &coap.Message{Type: coap.Confirmable, Code: coap.CodeGET}
+		req.SetPath(coap.PathVersion)
+		req.AddOption(coap.OptUriQuery, []byte("app=2a"))
+		_, err := ex.Exchange(req)
+		return err
+	}
+	for i := 0; i < 3; i++ {
+		if err := poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if exchanges.Value() != 3 || retransmissions.Value() != 0 {
+		t.Fatalf("lossless: %d exchanges, %d retransmissions, want 3 and 0", exchanges.Value(), retransmissions.Value())
+	}
+	b.Link.SetLoss(1.0, 7)
+	if err := poll(); err == nil {
+		t.Fatal("exchange over a dead link must fail")
+	}
+	if exchanges.Value() != 4 || retransmissions.Value() != 4 {
+		t.Fatalf("dead link: %d exchanges, %d retransmissions, want 4 and 4 (MaxRetransmit)", exchanges.Value(), retransmissions.Value())
+	}
 }

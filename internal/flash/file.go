@@ -31,7 +31,7 @@ func LoadFromFile(path string, geo Geometry) (*Memory, error) {
 		return nil, fmt.Errorf("flash: load %s: file is %d bytes, chip is %d", path, len(raw), geo.Size)
 	}
 	mem.mu.Lock()
-	copy(mem.data, raw)
+	mem.loadLocked(raw)
 	mem.mu.Unlock()
 	return mem, nil
 }
@@ -84,10 +84,7 @@ func (m *Memory) RestoreFromFile(path string) error {
 		return fmt.Errorf("flash: restore %s: image is %d bytes, chip is %d", path, len(raw), m.geo.Size)
 	}
 	m.mu.Lock()
-	copy(m.data, raw)
-	for i := len(raw); i < len(m.data); i++ {
-		m.data[i] = 0xFF
-	}
+	m.loadLocked(raw)
 	m.mu.Unlock()
 	return nil
 }

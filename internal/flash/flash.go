@@ -15,9 +15,19 @@
 //
 // Timing is modelled, content is real: every byte written here is a byte
 // the update pipeline actually produced.
+//
+// The backing store is sparse: one buffer per erase sector, and an
+// erased sector has none. That is a host-side economy only. Every erase,
+// page program and page read is still performed, counted, charged to
+// the clock and offered to fault injection exactly as if the chip were
+// one dense array — including programs of 0xFF into an erased sector
+// and erases of an already-erased one, which the modelled device does
+// pay for.
 package flash
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -89,11 +99,14 @@ type Stats struct {
 // Memory is one simulated flash chip. All methods are safe for
 // concurrent use.
 type Memory struct {
-	mu    sync.Mutex
-	geo   Geometry
-	data  []byte
-	clock *simclock.Clock
-	stats Stats
+	mu  sync.Mutex
+	geo Geometry
+	// sectors holds the content of each erase sector; nil means erased
+	// (every byte 0xFF). A buffer appears on the first program that
+	// clears a bit and goes away on the next erase.
+	sectors [][]byte
+	clock   *simclock.Clock
+	stats   Stats
 
 	// eraseCounts tracks wear per sector (diagnostics and tests).
 	eraseCounts []int
@@ -109,15 +122,12 @@ func New(geo Geometry, clock *simclock.Clock) (*Memory, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	data := make([]byte, geo.Size)
-	for i := range data {
-		data[i] = 0xFF
-	}
+	sectors := geo.Size / geo.SectorSize
 	return &Memory{
 		geo:         geo,
-		data:        data,
+		sectors:     make([][]byte, sectors),
 		clock:       clock,
-		eraseCounts: make([]int, geo.Size/geo.SectorSize),
+		eraseCounts: make([]int, sectors),
 		failAfter:   -1,
 	}, nil
 }
@@ -184,11 +194,10 @@ func (m *Memory) EraseSector(offset int) error {
 		m.mu.Unlock()
 		return ErrPowerLoss
 	}
-	for i := offset; i < offset+m.geo.SectorSize; i++ {
-		m.data[i] = 0xFF
-	}
+	sec := offset / m.geo.SectorSize
+	m.sectors[sec] = nil // erased: no buffer
 	m.stats.SectorErases++
-	m.eraseCounts[offset/m.geo.SectorSize]++
+	m.eraseCounts[sec]++
 	m.mu.Unlock()
 	m.advance(m.geo.EraseSector)
 	return nil
@@ -208,11 +217,9 @@ func (m *Memory) Program(offset int, data []byte) error {
 	}
 	m.mu.Lock()
 	// Pre-check NOR semantics before touching anything.
-	for i, s := range data {
-		if m.data[offset+i]&s != s {
-			m.mu.Unlock()
-			return fmt.Errorf("%w: at %#x", ErrNotErased, offset+i)
-		}
+	if i := m.firstSetBitLocked(offset, data); i >= 0 {
+		m.mu.Unlock()
+		return fmt.Errorf("%w: at %#x", ErrNotErased, offset+i)
 	}
 	pages := 0
 	written := 0
@@ -224,9 +231,7 @@ func (m *Memory) Program(offset int, data []byte) error {
 		}
 		pageEnd := ((offset+start)/m.geo.PageSize + 1) * m.geo.PageSize
 		end := min(len(data), pageEnd-offset)
-		for i := start; i < end; i++ {
-			m.data[offset+i] &= data[i]
-		}
+		m.programPageLocked(offset+start, data[start:end])
 		written += end - start
 		pages++
 		start = end
@@ -249,7 +254,7 @@ func (m *Memory) Read(offset int, buf []byte) error {
 		return fmt.Errorf("%w: read [%#x,%#x)", ErrOutOfRange, offset, offset+len(buf))
 	}
 	m.mu.Lock()
-	copy(buf, m.data[offset:offset+len(buf)])
+	m.readLocked(offset, buf)
 	m.stats.BytesRead += len(buf)
 	m.mu.Unlock()
 	pages := (len(buf) + m.geo.PageSize - 1) / m.geo.PageSize
@@ -261,8 +266,8 @@ func (m *Memory) Read(offset int, buf []byte) error {
 func (m *Memory) Snapshot() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]byte, len(m.data))
-	copy(out, m.data)
+	out := make([]byte, m.geo.Size)
+	m.readLocked(0, out)
 	return out
 }
 
@@ -272,8 +277,150 @@ func (m *Memory) Corrupt(offset int, mask byte) error {
 	if offset < 0 || offset >= m.geo.Size {
 		return fmt.Errorf("%w: corrupt at %#x", ErrOutOfRange, offset)
 	}
+	if mask == 0 {
+		return nil
+	}
 	m.mu.Lock()
-	m.data[offset] ^= mask
+	m.materializeLocked(offset / m.geo.SectorSize)[offset%m.geo.SectorSize] ^= mask
 	m.mu.Unlock()
 	return nil
+}
+
+// The sparse store. Apart from EraseSector dropping a buffer, everything
+// above reaches sector content only through these accessors; callers
+// hold m.mu.
+
+// erased is a block of erased flash: what a sector without a buffer
+// reads as. It is never written after initialisation.
+var erased = func() (b [4096]byte) {
+	for i := range b {
+		b[i] = 0xFF
+	}
+	return b
+}()
+
+// fillErased sets every byte of b to 0xFF.
+func fillErased(b []byte) {
+	for len(b) > 0 {
+		b = b[copy(b, erased[:]):]
+	}
+}
+
+// isErased reports whether every byte of b is 0xFF.
+func isErased(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(erased))
+		if !bytes.Equal(b[:n], erased[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
+// materializeLocked returns the buffer of sector sec, giving an erased
+// sector one first.
+func (m *Memory) materializeLocked(sec int) []byte {
+	if m.sectors[sec] == nil {
+		buf := make([]byte, m.geo.SectorSize)
+		fillErased(buf)
+		m.sectors[sec] = buf
+	}
+	return m.sectors[sec]
+}
+
+// readLocked copies the content at [offset, offset+len(buf)) into buf.
+func (m *Memory) readLocked(offset int, buf []byte) {
+	ss := m.geo.SectorSize
+	for len(buf) > 0 {
+		o := offset % ss
+		n := min(len(buf), ss-o)
+		if sector := m.sectors[offset/ss]; sector != nil {
+			copy(buf[:n], sector[o:])
+		} else {
+			fillErased(buf[:n])
+		}
+		buf, offset = buf[n:], offset+n
+	}
+}
+
+// firstSetBitLocked returns the index into data of the first byte that
+// programming at offset could not store — one with a bit set where the
+// flash has it cleared — or -1. An erased sector accepts anything.
+func (m *Memory) firstSetBitLocked(offset int, data []byte) int {
+	ss := m.geo.SectorSize
+	for done := 0; done < len(data); {
+		o := (offset + done) % ss
+		n := min(len(data)-done, ss-o)
+		if sector := m.sectors[(offset+done)/ss]; sector != nil {
+			if i := firstSetBit(sector[o:o+n], data[done:done+n]); i >= 0 {
+				return done + i
+			}
+		}
+		done += n
+	}
+	return -1
+}
+
+// programPageLocked ANDs src into the flash at offset. src lies within
+// one page and therefore within one sector. An erased sector gets a
+// buffer only if src clears a bit.
+func (m *Memory) programPageLocked(offset int, src []byte) {
+	ss := m.geo.SectorSize
+	sec, o := offset/ss, offset%ss
+	if m.sectors[sec] == nil {
+		if isErased(src) {
+			return
+		}
+		copy(m.materializeLocked(sec)[o:], src) // 0xFF & s == s
+		return
+	}
+	andBytes(m.sectors[sec][o:o+len(src)], src)
+}
+
+// loadLocked replaces the chip content with raw followed by erased
+// flash, bypassing NOR semantics. Blank sectors get no buffer.
+func (m *Memory) loadLocked(raw []byte) {
+	ss := m.geo.SectorSize
+	for sec := range m.sectors {
+		m.sectors[sec] = nil
+		if lo := sec * ss; lo < len(raw) {
+			if chunk := raw[lo:min(len(raw), lo+ss)]; !isErased(chunk) {
+				copy(m.materializeLocked(sec), chunk)
+			}
+		}
+	}
+}
+
+// firstSetBit returns the index of the first byte of src with a bit set
+// that the byte of dst at the same index has cleared, or -1, comparing
+// eight bytes at a time. len(dst) must equal len(src).
+func firstSetBit(dst, src []byte) int {
+	dst = dst[:len(src)]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		if binary.LittleEndian.Uint64(src[i:])&^binary.LittleEndian.Uint64(dst[i:]) != 0 {
+			break // the byte loop names the offender
+		}
+	}
+	for ; i < len(src); i++ {
+		if src[i]&^dst[i] != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// andBytes clears every bit of dst that is clear in src, eight bytes at
+// a time. len(dst) must equal len(src).
+func andBytes(dst, src []byte) {
+	dst = dst[:len(src)]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:],
+			binary.LittleEndian.Uint64(dst[i:])&binary.LittleEndian.Uint64(src[i:]))
+	}
+	for ; i < len(src); i++ {
+		dst[i] &= src[i]
+	}
 }

@@ -77,7 +77,7 @@ func NewCache(origin coap.Exchanger, opts CacheOptions) *Cache {
 // Handle is the proxy's CoAP Handler: named-block requests hit the
 // cache, everything else forwards to the origin unchanged.
 func (c *Cache) Handle(req *coap.Message) *coap.Message {
-	if req.Code == coap.CodeGET && req.Path() == coap.PathBlocks {
+	if req.Code == coap.CodeGET && req.PathIs(coap.PathBlocks) {
 		return c.blocks.Handle(req)
 	}
 	resp, err := c.origin.Exchange(req)
