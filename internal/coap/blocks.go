@@ -2,6 +2,7 @@ package coap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -40,7 +41,7 @@ func (s *BlockServer) Handle(req *Message) *Message {
 	if req.Code != CodeGET || !req.PathIs(PathBlocks) {
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}
 	}
-	raw, ok := req.Query("b")
+	raw, ok := req.query("b")
 	if !ok {
 		return &Message{Type: Acknowledgement, Code: CodeBadReq}
 	}
@@ -66,12 +67,42 @@ func (s *BlockServer) Handle(req *Message) *Message {
 		return &Message{Type: Acknowledgement, Code: CodeIntErr}
 	}
 	s.Blocks.Inc()
-	// Clone: sources may alias their stored payload, and responses
-	// travel through transports (and, in attack experiments, hostile
-	// hops) that must not reach back into it.
-	resp := &Message{Type: Acknowledgement, Code: CodeContent, Payload: bytes.Clone(data)}
-	resp.AddOption(OptBlock2, Block{Num: block.Num, More: more, SZX: block.SZX}.Marshal())
-	return resp
+	block.More = more
+	return newBlockReply(block, data, noSize2)
+}
+
+// blockReply is the one allocation a served block costs: the response,
+// its Block2 and Size2 options, their values, and a copy of the block.
+// A copy, because sources may alias their stored payload, and responses
+// travel through transports (and, in attack experiments, hostile hops)
+// that must not reach back into it; the reply's own, because handlers
+// serve many devices at once and a reply outlives the call that made
+// it. The inline room is one block of the size the pull client asks
+// for; append spills a larger one (a proxy filling 1 KiB chunks) into
+// an array of its own.
+type blockReply struct {
+	msg   Message
+	opts  [2]Option
+	block [3]byte
+	size2 [4]byte
+	data  [DefaultBlockSize]byte
+}
+
+// noSize2 asks newBlockReply for a reply without a Size2 option.
+const noSize2 = -1
+
+// newBlockReply builds the 2.05 response carrying a copy of data as
+// block b, with a Size2 option of total bytes unless total is noSize2.
+func newBlockReply(b Block, data []byte, total int) *Message {
+	r := new(blockReply)
+	r.msg = Message{Type: Acknowledgement, Code: CodeContent, Options: r.opts[:1], Payload: append(r.data[:0], data...)}
+	r.opts[0] = Option{Number: OptBlock2, Value: b.AppendTo(r.block[:0])}
+	if total != noSize2 {
+		binary.BigEndian.PutUint32(r.size2[:], uint32(total))
+		r.opts[1] = Option{Number: OptSize2, Value: r.size2[:]}
+		r.msg.Options = r.opts[:2]
+	}
+	return &r.msg
 }
 
 // Loopback is an Exchanger that runs the full codec round-trip against
@@ -99,12 +130,14 @@ func (l *Loopback) Exchange(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coap: server parse: %w", err)
 	}
+	// Captured before the handler runs: a proxying handler forwards
+	// parsed upstream, which renumbers it for that leg.
+	mid, tok := parsed.MessageID, parsed.Token
 	resp := l.Handler(parsed)
 	if resp == nil {
 		return nil, fmt.Errorf("coap: no response for %s %s", req.Code, req.Path())
 	}
-	resp.MessageID = parsed.MessageID
-	resp.Token = parsed.Token
+	resp.MessageID, resp.Token = mid, tok
 	respEnc, err := resp.Marshal()
 	if err != nil {
 		return nil, err
@@ -125,11 +158,8 @@ func (s *ExchangerSource) Block(name dist.Name, num uint32, size int) ([]byte, b
 	if err != nil {
 		return nil, false, err
 	}
-	req := &Message{Type: Confirmable, Code: CodeGET}
-	req.SetPath(PathBlocks)
-	req.AddOption(OptUriQuery, []byte("b="+name.String()))
-	req.AddOption(OptBlock2, Block{Num: num, SZX: szx}.Marshal())
-	resp, err := s.Ex.Exchange(req)
+	req := newBlockRequest(PathBlocks, []byte("b="+name.String()))
+	resp, err := s.Ex.Exchange(req.next(nil, Block{Num: num, SZX: szx}))
 	if err != nil {
 		return nil, false, err
 	}
@@ -150,7 +180,9 @@ func (s *ExchangerSource) Block(name dist.Name, num uint32, size int) ([]byte, b
 	if err != nil {
 		return nil, false, err
 	}
-	return resp.Payload, b.More, nil
+	// Clone: the caller keeps what it is given (a cache stores it), and
+	// the response is only lent until the next exchange over Ex.
+	return bytes.Clone(resp.Payload), b.More, nil
 }
 
 // BlockSource is one place a PullClient can fetch named blocks from.

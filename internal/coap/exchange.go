@@ -11,10 +11,19 @@ import (
 	"upkit/internal/transport"
 )
 
-// Handler processes one CoAP request and produces the response.
+// Handler processes one CoAP request and produces the response. The
+// request — the message and every byte its fields reference — is the
+// handler's only for the duration of the call, and read-only: it may be
+// decoded in place over the datagram the caller will retransmit. What a
+// handler keeps it copies; what it returns it gives away.
 type Handler func(req *Message) *Message
 
-// Exchanger performs one confirmable request/response exchange.
+// Exchanger performs one confirmable request/response exchange. It may
+// set req.MessageID but keeps nothing of req once Exchange returns, so a
+// caller can rewrite one request in place for a whole transfer. The
+// response is the caller's until its next Exchange on the same
+// exchanger, which may decode over the same memory: what must outlive
+// that is copied first.
 type Exchanger interface {
 	Exchange(req *Message) (*Message, error)
 }
@@ -29,6 +38,9 @@ var ErrTimeout = errors.New("coap: timeout")
 // Confirmable semantics are honoured: when the link's loss model drops
 // a request or response frame, the exchange retransmits after a timeout
 // (charged to the clock), up to MaxRetransmit attempts — RFC 7252 §4.2.
+//
+// A LinkExchanger is one device's radio: it runs one exchange at a time
+// and is not safe for concurrent use.
 type LinkExchanger struct {
 	Link    *transport.Link
 	Handler Handler
@@ -47,16 +59,25 @@ type LinkExchanger struct {
 	// Counter handles, resolved on Telemetry at first use rather than
 	// through the registry (mutex, label key, map) on every exchange.
 	exchanges, retransmissions *telemetry.Counter
+
+	// The exchange in flight: its two datagrams as encoded, and the two
+	// messages decoded in place over them. With one exchange at a time
+	// the exchanger can own all four and reuse them: the handler has
+	// req for the duration of its call, the caller resp until the next
+	// Exchange.
+	reqWire, respWire []byte
+	req, resp         Message
 }
 
 // Exchange implements Exchanger.
 func (e *LinkExchanger) Exchange(req *Message) (*Message, error) {
 	e.nextMID++
 	req.MessageID = e.nextMID
-	enc, err := req.Marshal()
+	enc, err := req.AppendTo(e.reqWire[:0])
 	if err != nil {
 		return nil, err
 	}
+	e.reqWire = enc
 	retries := e.MaxRetransmit
 	if retries <= 0 {
 		retries = 4
@@ -70,7 +91,7 @@ func (e *LinkExchanger) Exchange(req *Message) (*Message, error) {
 	}
 	e.exchanges.Inc()
 	for attempt := 0; ; attempt++ {
-		resp, err := e.once(req, enc)
+		resp, err := e.once(enc)
 		if err == nil {
 			return resp, nil
 		}
@@ -88,30 +109,36 @@ func (e *LinkExchanger) Exchange(req *Message) (*Message, error) {
 	}
 }
 
-// once performs a single request/response attempt.
-func (e *LinkExchanger) once(req *Message, enc []byte) (*Message, error) {
+// once performs a single attempt: enc, the encoded request, there and
+// the encoded response back.
+func (e *LinkExchanger) once(enc []byte) (*Message, error) {
 	if _, err := e.Link.Transfer(len(enc)); err != nil {
 		return nil, err
 	}
 	// The server re-parses the exact bytes the client produced.
-	parsed, err := Unmarshal(enc)
-	if err != nil {
+	if err := e.req.decode(enc); err != nil {
 		return nil, fmt.Errorf("coap: server parse: %w", err)
 	}
-	resp := e.Handler(parsed)
+	// Captured before the handler runs: a proxying handler forwards the
+	// request upstream, which renumbers it for that leg.
+	mid, tok := e.req.MessageID, e.req.Token
+	resp := e.Handler(&e.req)
 	if resp == nil {
-		return nil, fmt.Errorf("coap: no response for %s %s", req.Code, req.Path())
+		return nil, fmt.Errorf("coap: no response for %s %s", e.req.Code, e.req.Path())
 	}
-	resp.MessageID = parsed.MessageID
-	resp.Token = parsed.Token
-	respEnc, err := resp.Marshal()
+	resp.MessageID, resp.Token = mid, tok
+	wire, err := resp.AppendTo(e.respWire[:0])
 	if err != nil {
 		return nil, err
 	}
-	if _, err := e.Link.Transfer(len(respEnc)); err != nil {
+	e.respWire = wire
+	if _, err := e.Link.Transfer(len(wire)); err != nil {
 		return nil, err
 	}
-	return Unmarshal(respEnc)
+	if err := e.resp.decode(wire); err != nil {
+		return nil, err
+	}
+	return &e.resp, nil
 }
 
 // UDPServer serves CoAP over a real UDP socket (used by
@@ -187,6 +214,9 @@ func (s *UDPServer) Close() error { return s.conn.Close() }
 type UDPExchanger struct {
 	conn    *net.UDPConn
 	nextMID uint16
+	// recv receives every datagram: the exchanger runs one exchange at
+	// a time (nextMID is unsynchronised), so one buffer serves them all.
+	recv []byte
 	// Timeout is the initial response timeout (ACK_TIMEOUT).
 	Timeout time.Duration
 	// Retries is the number of retransmissions after the first attempt
@@ -223,7 +253,7 @@ func DialUDP(addr string) (*UDPExchanger, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coap: dial %s: %w", addr, err)
 	}
-	return &UDPExchanger{conn: conn, Timeout: 2 * time.Second, Retries: 3}, nil
+	return &UDPExchanger{conn: conn, recv: make([]byte, 64*1024), Timeout: 2 * time.Second, Retries: 3}, nil
 }
 
 // Close releases the socket.
@@ -241,7 +271,6 @@ func (e *UDPExchanger) Exchange(req *Message) (*Message, error) {
 	if rand01 == nil {
 		rand01 = rand.Float64
 	}
-	buf := make([]byte, 64*1024)
 	for attempt := 0; attempt <= e.Retries; attempt++ {
 		if _, err := e.conn.Write(enc); err != nil {
 			return nil, err
@@ -256,7 +285,7 @@ func (e *UDPExchanger) Exchange(req *Message) (*Message, error) {
 		// another response and leave the socket permanently one answer
 		// behind.
 		for {
-			n, err := e.conn.Read(buf)
+			n, err := e.conn.Read(e.recv)
 			if err != nil {
 				var nerr net.Error
 				if errors.As(err, &nerr) && nerr.Timeout() {
@@ -264,7 +293,9 @@ func (e *UDPExchanger) Exchange(req *Message) (*Message, error) {
 				}
 				return nil, err
 			}
-			resp, err := Unmarshal(buf[:n])
+			// Unmarshal copies: the response outlives the next Read
+			// into recv.
+			resp, err := Unmarshal(e.recv[:n])
 			if err != nil || resp.MessageID != req.MessageID {
 				continue // malformed or stale: keep reading
 			}

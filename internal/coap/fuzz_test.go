@@ -1,7 +1,10 @@
 package coap
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +36,52 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		_ = m.Path()
 		_, _ = m.Query("app")
+	})
+}
+
+// FuzzDecodeReuse holds the in-place codec an exchanger runs over its
+// own buffers to the copying one everybody else calls: decoding
+// datagram b into a message that last held datagram a gives what a
+// fresh Unmarshal(b) gives, field for field and error for error, and
+// AppendTo after arbitrary bytes appends exactly what Marshal returns.
+func FuzzDecodeReuse(f *testing.F) {
+	block := &Message{Type: Acknowledgement, Code: CodeContent, MessageID: 7, Token: []byte{1, 2}, Payload: []byte("payload")}
+	block.AddOption(OptBlock2, Block{Num: 3, More: true, SZX: 2}.Marshal())
+	block.AddOption(OptSize2, []byte{0, 0, 8, 0})
+	request := &Message{Type: Confirmable, Code: CodeGET, MessageID: 8, Token: []byte{1, 2, 3, 4}}
+	request.SetPath(PathBlocks)
+	request.AddOption(OptUriQuery, []byte("b=00"))
+	request.AddOption(OptBlock2, nil)
+	bare := []byte{0x40, 0x84, 0x00, 0x09} // 4.04, no token, options or payload
+	f.Add(must(block.Marshal()), must(request.Marshal()))
+	f.Add(must(request.Marshal()), must(block.Marshal()))
+	f.Add(must(request.Marshal()), bare)
+	f.Add(bare, must(block.Marshal()))
+	f.Add(must(block.Marshal()), []byte{0x40, 0x01, 0x00, 0x00, 0xFF})
+	f.Add([]byte{0x40, 0x01, 0x00, 0x00, 0x03, 'a'}, must(block.Marshal()))
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var reused Message
+		_ = reused.decode(bytes.Clone(a))
+		err := reused.decode(bytes.Clone(b))
+		fresh, freshErr := Unmarshal(b)
+		if fmt.Sprint(err) != fmt.Sprint(freshErr) {
+			t.Fatalf("decode over %x: error %v, fresh Unmarshal %v", a, err, freshErr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(&reused, fresh) {
+			t.Fatalf("decode over %x = %+v, fresh Unmarshal %+v", a, &reused, fresh)
+		}
+		enc, err := fresh.Marshal()
+		if err != nil {
+			t.Fatalf("decoded message failed to re-encode: %v", err)
+		}
+		got, err := fresh.AppendTo(bytes.Clone(a))
+		if err != nil || !bytes.Equal(got, append(bytes.Clone(a), enc...)) {
+			t.Fatalf("AppendTo(%x) = %x, %v; want the prefix then %x", a, got, err, enc)
+		}
 	})
 }
 

@@ -143,17 +143,30 @@ func (m *Message) PathIs(path string) bool {
 
 // Query returns the first Uri-Query option with prefix "key=".
 func (m *Message) Query(key string) (string, bool) {
-	prefix := key + "="
-	for _, o := range m.Options {
-		if o.Number == OptUriQuery && strings.HasPrefix(string(o.Value), prefix) {
-			return string(o.Value[len(prefix):]), true
-		}
-	}
-	return "", false
+	v, ok := m.query(key)
+	return string(v), ok
 }
 
-// Marshal encodes the message per RFC 7252 §3.
-func (m *Message) Marshal() ([]byte, error) {
+// query is Query without the string: the value aliases the option, for
+// the handlers that parse it where it lies.
+func (m *Message) query(key string) ([]byte, bool) {
+	for _, o := range m.Options {
+		v := o.Value
+		if o.Number == OptUriQuery && len(v) > len(key) && v[len(key)] == '=' && string(v[:len(key)]) == key {
+			return v[len(key)+1:], true
+		}
+	}
+	return nil, false
+}
+
+// Marshal encodes the message per RFC 7252 §3 into a fresh datagram.
+func (m *Message) Marshal() ([]byte, error) { return m.AppendTo(nil) }
+
+// AppendTo appends the RFC 7252 §3 encoding of the message to buf and
+// returns the extended slice, growing buf at most once. It is the one
+// encoder: an exchanger that owns its datagram passes that buffer's
+// [:0] and allocates nothing.
+func (m *Message) AppendTo(buf []byte) ([]byte, error) {
 	if len(m.Token) > 8 {
 		return nil, ErrBadToken
 	}
@@ -170,7 +183,9 @@ func (m *Message) Marshal() ([]byte, error) {
 	for _, o := range opts {
 		size += 5 + len(o.Value) // header byte + two 2-byte extensions
 	}
-	buf := make([]byte, 0, size)
+	if cap(buf)-len(buf) < size {
+		buf = append(make([]byte, 0, len(buf)+size), buf...)
+	}
 	buf = append(buf, Version<<6|byte(m.Type)<<4|byte(len(m.Token)))
 	buf = append(buf, byte(m.Code))
 	buf = binary.BigEndian.AppendUint16(buf, m.MessageID)
@@ -226,29 +241,43 @@ func appendExt(buf []byte, nib byte, v int) []byte {
 
 // Unmarshal decodes a message per RFC 7252 §3. The message never
 // aliases data: token, option values and payload are sub-slices of one
-// private copy of the datagram, each with its capacity capped at its
-// length so that appending to one field cannot reach the next.
+// private copy of the datagram.
 func Unmarshal(data []byte) (*Message, error) {
+	m := new(Message)
+	if err := m.decode(slices.Clone(data)); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decode is the one decoder. It overwrites every field of m with the
+// message in data, in place: token, option values and payload are
+// sub-slices of data, each with its capacity capped at its length so
+// that appending to one field cannot reach the next, and the options
+// reuse the array m.Options already has. Whatever m held before leaves
+// no trace — the result equals a fresh Unmarshal of the same bytes — so
+// an exchanger that owns both data and m decodes without allocating. On
+// error m is unspecified.
+func (m *Message) decode(data []byte) error {
+	opts := m.Options[:0]
+	*m = Message{}
 	if len(data) < 4 {
-		return nil, ErrTruncatedMessage
+		return ErrTruncatedMessage
 	}
 	if data[0]>>6 != Version {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 	tkl := int(data[0] & 0x0F)
 	if tkl > 8 {
-		return nil, ErrBadToken
+		return ErrBadToken
 	}
-	m := &Message{
-		Type:      Type(data[0] >> 4 & 0x3),
-		Code:      Code(data[1]),
-		MessageID: binary.BigEndian.Uint16(data[2:4]),
-	}
+	m.Type = Type(data[0] >> 4 & 0x3)
+	m.Code = Code(data[1])
+	m.MessageID = binary.BigEndian.Uint16(data[2:4])
 	pos := 4
 	if len(data) < pos+tkl {
-		return nil, ErrTruncatedMessage
+		return ErrTruncatedMessage
 	}
-	data = slices.Clone(data)
 	if tkl > 0 {
 		m.Token = data[pos : pos+tkl : pos+tkl]
 	}
@@ -259,37 +288,40 @@ func Unmarshal(data []byte) (*Message, error) {
 		if data[pos] == 0xFF {
 			pos++
 			if pos == len(data) {
-				return nil, fmt.Errorf("%w: empty payload after marker", ErrTruncatedMessage)
+				return fmt.Errorf("%w: empty payload after marker", ErrTruncatedMessage)
 			}
 			m.Payload = data[pos:len(data):len(data)]
-			return m, nil
+			break
 		}
 		dn := int(data[pos] >> 4)
 		ln := int(data[pos] & 0x0F)
 		pos++
 		delta, n, err := readExt(data, pos, dn)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pos += n
 		length, n, err := readExt(data, pos, ln)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pos += n
 		if pos+length > len(data) {
-			return nil, ErrTruncatedMessage
+			return ErrTruncatedMessage
 		}
 		prev += uint16(delta)
-		if m.Options == nil {
+		if cap(opts) == 0 {
 			// The UpKit requests carry four options (two path segments,
 			// query, Block2); one allocation covers them.
-			m.Options = make([]Option, 0, 4)
+			opts = make([]Option, 0, 4)
 		}
-		m.Options = append(m.Options, Option{Number: prev, Value: data[pos : pos+length : pos+length]})
+		opts = append(opts, Option{Number: prev, Value: data[pos : pos+length : pos+length]})
 		pos += length
 	}
-	return m, nil
+	if len(opts) > 0 {
+		m.Options = opts
+	}
+	return nil
 }
 
 // readExt decodes a 13/14-extended nibble at data[pos:].
@@ -337,18 +369,22 @@ func SZXForSize(size int) (uint8, error) {
 }
 
 // Marshal encodes the block option value in minimal length.
-func (b Block) Marshal() []byte {
+func (b Block) Marshal() []byte { return b.AppendTo(nil) }
+
+// AppendTo appends the block option value, in minimal length (one to
+// three bytes), to buf.
+func (b Block) AppendTo(buf []byte) []byte {
 	v := b.Num<<4 | uint32(b.SZX)
 	if b.More {
 		v |= 0x8
 	}
 	switch {
 	case v < 1<<8:
-		return []byte{byte(v)}
+		return append(buf, byte(v))
 	case v < 1<<16:
-		return []byte{byte(v >> 8), byte(v)}
+		return append(buf, byte(v>>8), byte(v))
 	default:
-		return []byte{byte(v >> 16), byte(v >> 8), byte(v)}
+		return append(buf, byte(v>>16), byte(v>>8), byte(v))
 	}
 }
 

@@ -71,17 +71,6 @@ type session struct {
 	// reports so the device can fetch the same bytes from any block
 	// source (peer, caching proxy, origin).
 	name dist.Name
-
-	// mu guards scratch, the per-session block buffer: responses must
-	// not alias the stored payload (transports and, in attack
-	// experiments, hostile hops could reach back into it), but a
-	// Block2 transfer serves hundreds of blocks per device and a fresh
-	// allocation per block is pure churn. Each block is copied into
-	// the session's reusable scratch instead; exchanges are synchronous
-	// per device, so the previous block is always consumed before the
-	// next overwrites it.
-	mu      sync.Mutex
-	scratch []byte
 }
 
 // size is what the session counts for against maxSessionBytes.
@@ -229,11 +218,11 @@ func (s *PullServer) removeSessionLocked(el *list.Element) {
 }
 
 func parseHexQuery(req *Message, key string) (uint32, bool) {
-	raw, ok := req.Query(key)
+	raw, ok := req.query(key)
 	if !ok {
 		return 0, false
 	}
-	v, err := strconv.ParseUint(raw, 16, 32)
+	v, err := strconv.ParseUint(string(raw), 16, 32)
 	if err != nil {
 		return 0, false
 	}
@@ -336,26 +325,14 @@ func (s *PullServer) handleImage(req *Message) *Message {
 		return &Message{Type: Acknowledgement, Code: CodeBadReq}
 	}
 	end := min(start+size, len(payload))
-	// Copy the block into the session's reusable scratch: the response
-	// must not alias the stored payload (see session.scratch), but it
-	// need not allocate per block either.
-	sess.mu.Lock()
-	if cap(sess.scratch) < size {
-		sess.scratch = make([]byte, size)
-	}
-	chunk := sess.scratch[:end-start]
-	copy(chunk, payload[start:end])
-	sess.mu.Unlock()
 	s.blocks.Inc()
-	resp := &Message{Type: Acknowledgement, Code: CodeContent, Payload: chunk}
-	respBlock := Block{Num: block.Num, More: end < len(payload), SZX: block.SZX}
-	resp.AddOption(OptBlock2, respBlock.Marshal())
+	block.More = end < len(payload)
+	total := noSize2
 	if block.Num == 0 {
-		var sz [4]byte
-		binary.BigEndian.PutUint32(sz[:], uint32(len(payload)))
-		resp.AddOption(OptSize2, sz[:])
+		total = len(payload)
 	}
-	return resp
+	// The reply carries a copy: it must not alias the stored payload.
+	return newBlockReply(block, payload[start:end], total)
 }
 
 // PullClient drives a device's update agent through the pull flow.
@@ -498,8 +475,39 @@ func (c *PullClient) exchangeVia(ex Exchanger, req *Message) (*Message, error) {
 }
 
 // appQuery renders the app=... query option value.
-func (c *PullClient) appQuery() []byte {
-	return []byte(fmt.Sprintf("app=%x", c.AppID))
+func (c *PullClient) appQuery() []byte { return hexQuery("app=", c.AppID) }
+
+// hexQuery renders a query option value: prefix ("key=") then v in hex.
+func hexQuery(prefix string, v uint32) []byte {
+	return strconv.AppendUint([]byte(prefix), uint64(v), 16)
+}
+
+// blockRequest is the GET a Block2 transfer repeats for every block. It
+// is built once per transfer; per block only its token and its Block2
+// value are rewritten, in place — an Exchanger keeps nothing of a
+// request.
+type blockRequest struct {
+	msg   Message
+	block [3]byte
+}
+
+// newBlockRequest builds the request for path with the given Uri-Query
+// values and, last, a Block2 option for next to fill.
+func newBlockRequest(path string, queries ...[]byte) *blockRequest {
+	r := &blockRequest{msg: Message{Type: Confirmable, Code: CodeGET}}
+	r.msg.SetPath(path)
+	for _, q := range queries {
+		r.msg.AddOption(OptUriQuery, q)
+	}
+	r.msg.AddOption(OptBlock2, nil)
+	return r
+}
+
+// next readies the request for block b under token.
+func (r *blockRequest) next(token []byte, b Block) *Message {
+	r.msg.Token = token
+	r.msg.Options[len(r.msg.Options)-1].Value = b.AppendTo(r.block[:0])
+	return &r.msg
 }
 
 // Poll asks the server for the latest version (step 3, as a poll).
@@ -517,6 +525,8 @@ func (c *PullClient) Poll() (uint16, error) {
 	return binary.BigEndian.Uint16(resp.Payload), nil
 }
 
+// nextToken advances the client's token in place and returns it: valid
+// until the next call, which is as long as any one exchange needs it.
 func (c *PullClient) nextToken() []byte {
 	if c.token == nil {
 		c.token = []byte{0x75, 0x6B, 0, 0}
@@ -525,7 +535,7 @@ func (c *PullClient) nextToken() []byte {
 	if c.token[2] == 0 {
 		c.token[3]++
 	}
-	return append([]byte{}, c.token...)
+	return c.token
 }
 
 // CheckAndUpdate performs one full pull update cycle: poll the version,
@@ -713,8 +723,7 @@ func (c *PullClient) fetchOrigin(tok manifest.DeviceToken, offset int) (bool, er
 		c.Agent.Abort()
 		return false, err
 	}
-	query := []byte(fmt.Sprintf("d=%x", tok.DeviceID))
-	query2 := []byte(fmt.Sprintf("n=%x", tok.Nonce))
+	req := newBlockRequest(PathImage, hexQuery("d=", tok.DeviceID), hexQuery("n=", tok.Nonce))
 	// A resumed transfer re-fetches the block containing offset; the
 	// prefix of that block the agent already consumed is trimmed before
 	// feeding so the pipeline sees a seamless byte stream.
@@ -722,12 +731,7 @@ func (c *PullClient) fetchOrigin(tok manifest.DeviceToken, offset int) (bool, er
 	skip := offset % size
 	reestablished := false
 	for ; ; num++ {
-		req := &Message{Type: Confirmable, Code: CodeGET, Token: c.nextToken()}
-		req.SetPath(PathImage)
-		req.AddOption(OptUriQuery, query)
-		req.AddOption(OptUriQuery, query2)
-		req.AddOption(OptBlock2, Block{Num: num, SZX: szx}.Marshal())
-		resp, err := c.exchange(req)
+		resp, err := c.exchange(req.next(c.nextToken(), Block{Num: num, SZX: szx}))
 		if err != nil {
 			if retryableTransport(err) {
 				_ = c.Agent.Suspend()
@@ -787,11 +791,11 @@ func (c *PullClient) fetchOrigin(tok manifest.DeviceToken, offset int) (bool, er
 // the session payload's content name and total length — the only
 // per-session fact the content-addressed transfer needs from the
 // origin itself.
-func (c *PullClient) fetchName(tok manifest.DeviceToken) (name string, total int, err error) {
+func (c *PullClient) fetchName(tok manifest.DeviceToken) (name dist.Name, total int, err error) {
 	req := &Message{Type: Confirmable, Code: CodeGET, Token: c.nextToken()}
 	req.SetPath(PathName)
-	req.AddOption(OptUriQuery, []byte(fmt.Sprintf("d=%x", tok.DeviceID)))
-	req.AddOption(OptUriQuery, []byte(fmt.Sprintf("n=%x", tok.Nonce)))
+	req.AddOption(OptUriQuery, hexQuery("d=", tok.DeviceID))
+	req.AddOption(OptUriQuery, hexQuery("n=", tok.Nonce))
 	resp, err := c.exchange(req)
 	if err != nil {
 		if retryableTransport(err) {
@@ -799,16 +803,15 @@ func (c *PullClient) fetchName(tok manifest.DeviceToken) (name string, total int
 		} else {
 			c.Agent.Abort()
 		}
-		return "", 0, err
+		return name, 0, err
 	}
 	if resp.Code != CodeContent || len(resp.Payload) != dist.NameSize+4 {
 		c.Agent.Abort()
-		return "", 0, fmt.Errorf("%w: %s for payload name", ErrServerRefused, resp.Code)
+		return name, 0, fmt.Errorf("%w: %s for payload name", ErrServerRefused, resp.Code)
 	}
-	var n dist.Name
-	copy(n[:], resp.Payload)
+	copy(name[:], resp.Payload)
 	total = int(binary.BigEndian.Uint32(resp.Payload[dist.NameSize:]))
-	return n.String(), total, nil
+	return name, total, nil
 }
 
 // fetchSources streams the payload from the client's block sources in
@@ -825,6 +828,7 @@ func (c *PullClient) fetchSources(tok manifest.DeviceToken, offset int, dead []b
 	if err != nil {
 		return false, err
 	}
+	query := []byte("b=" + name.String())
 	var collect []byte
 	collecting := c.PayloadSink != nil && offset == 0
 	var lastErr error
@@ -845,6 +849,7 @@ func (c *PullClient) fetchSources(tok manifest.DeviceToken, offset int, dead []b
 			c.Agent.Abort()
 			return false, err
 		}
+		req := newBlockRequest(PathBlocks, query)
 		failed := false
 		for offset < total {
 			// A failover mid-stream re-fetches the block containing
@@ -854,11 +859,7 @@ func (c *PullClient) fetchSources(tok manifest.DeviceToken, offset int, dead []b
 			// line up across sources by construction.
 			num := uint32(offset / size)
 			skip := offset % size
-			req := &Message{Type: Confirmable, Code: CodeGET, Token: c.nextToken()}
-			req.SetPath(PathBlocks)
-			req.AddOption(OptUriQuery, []byte("b="+name))
-			req.AddOption(OptBlock2, Block{Num: num, SZX: szx}.Marshal())
-			resp, err := c.exchangeVia(src.Ex, req)
+			resp, err := c.exchangeVia(src.Ex, req.next(c.nextToken(), Block{Num: num, SZX: szx}))
 			if err != nil {
 				if !retryableTransport(err) {
 					c.Agent.Abort()

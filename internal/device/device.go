@@ -276,23 +276,23 @@ func New(opts Options) (*Device, error) {
 	ver := verifier.New(opts.Suite, opts.Keys, clock)
 	ver.Source = opts.KeySource
 	bl, err := bootloader.New(bootloader.Config{
-		Mode:      opts.Mode,
-		Boot:      slotA,
-		Alt:       slotB,
-		Recovery:  recovery,
+		Mode:             opts.Mode,
+		Boot:             slotA,
+		Alt:              slotB,
+		Recovery:         recovery,
 		Scratch:          scratch,
 		Journal:          journal,
 		ReceptionJournal: rjournal,
 		Verifier:         ver,
-		DeviceID:   opts.DeviceID,
-		AppID:      opts.AppID,
-		Clock:      clock,
-		JumpTime:   opts.JumpTime,
-		Phases:     phases,
-		Events:     log,
-		Telemetry:  opts.Telemetry,
-		SecVer:     secVer,
-		TimeSource: opts.TimeSource,
+		DeviceID:         opts.DeviceID,
+		AppID:            opts.AppID,
+		Clock:            clock,
+		JumpTime:         opts.JumpTime,
+		Phases:           phases,
+		Events:           log,
+		Telemetry:        opts.Telemetry,
+		SecVer:           secVer,
+		TimeSource:       opts.TimeSource,
 	})
 	if err != nil {
 		return nil, err

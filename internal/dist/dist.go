@@ -56,8 +56,9 @@ var (
 	ErrBadName = errors.New("dist: malformed name")
 )
 
-// ParseName decodes the hex form produced by Name.String.
-func ParseName(s string) (Name, error) {
+// ParseName decodes the hex form produced by Name.String, from a string
+// or — without copying them — from the bytes of a CoAP query option.
+func ParseName[S string | []byte](s S) (Name, error) {
 	var n Name
 	if len(s) != 2*NameSize {
 		return n, fmt.Errorf("%w: %d chars, want %d", ErrBadName, len(s), 2*NameSize)

@@ -697,9 +697,9 @@ type shardLane struct {
 
 // stageState is the scheduling state of one rollout stage.
 type stageState struct {
-	index   int
-	lo, hi  int
-	lanes   []shardLane
+	index     int
+	lo, hi    int
+	lanes     []shardLane
 	remaining atomic.Int64
 	// done/failed include work preloaded from a checkpoint; runDone/
 	// runFailed count only this run, which is what the breaker
