@@ -10,8 +10,8 @@ import (
 	"upkit/internal/httpapi"
 )
 
-// Client drives the campaign API over HTTP — the operator's (and the
-// load harness's -api mode's) view of the control plane. The zero
+// Client drives the campaign API over HTTP — the operator's view of
+// the control plane. The zero
 // value is unusable; set Base to the server root (http://host:port).
 type Client struct {
 	// Base is the server root, without the /api/v1 prefix.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"upkit/internal/agent"
 	"upkit/internal/bootloader"
 	"upkit/internal/device"
 	"upkit/internal/energy"
@@ -13,6 +14,15 @@ import (
 	"upkit/internal/updateserver"
 	"upkit/internal/verifier"
 )
+
+// TestPhaseNamesAgree: the device charges both halves of the double
+// verification to one accumulator, so the agent's phase name must be
+// the bootloader's.
+func TestPhaseNamesAgree(t *testing.T) {
+	if agent.PhaseVerification != bootloader.PhaseVerification {
+		t.Fatalf("agent phase %q != bootloader phase %q", agent.PhaseVerification, bootloader.PhaseVerification)
+	}
+}
 
 func baseOptions() device.Options {
 	suite := security.NewTinyCrypt()

@@ -17,14 +17,14 @@ import (
 // request lands on the same Internet-facing endpoint and its patch
 // cache. All devices start on v1; v2 (a localized ~1 kB change, so the
 // differential path is taken) is already published.
-func buildSharedFleet(tb testing.TB, n int) ([]*bedUpdater, *updateserver.Server) {
+func buildSharedFleet(tb testing.TB, n int, opts ...updateserver.Option) ([]*bedUpdater, *updateserver.Server) {
 	tb.Helper()
 	suite, err := security.SuiteByName("tinycrypt", nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	vendor := vendorserver.New(suite, security.MustGenerateKey("fleet-shared-vendor"))
-	update := updateserver.New(suite, security.MustGenerateKey("fleet-shared-server"))
+	update := updateserver.New(suite, security.MustGenerateKey("fleet-shared-server"), opts...)
 
 	v1 := testbed.MakeFirmware("fleet-shared-v1", 32*1024)
 	v2 := testbed.DeriveAppChange(v1, 1000)
@@ -105,10 +105,11 @@ func benchCampaign(b *testing.B, cached bool) {
 	var diffs, requests uint64
 	for b.Loop() {
 		b.StopTimer()
-		devs, update := buildSharedFleet(b, n)
+		var opts []updateserver.Option
 		if !cached {
-			update.SetPatchCacheSize(0)
+			opts = append(opts, updateserver.WithPatchCacheSize(0))
 		}
+		devs, update := buildSharedFleet(b, n, opts...)
 		c, err := fleet.New(2, fleet.Policy{Parallelism: 4}, asUpdaters(devs))
 		if err != nil {
 			b.Fatal(err)

@@ -40,7 +40,7 @@ func newTestServer(t *testing.T, n int, opts ...updateserver.Option) *updateserv
 		if err := srv.Publish(img); err != nil {
 			t.Fatal(err)
 		}
-		fw = testbed.DeriveAppChange(fw, 64)
+		fw = testbed.DeriveAppChangeN(fw, 64, v)
 	}
 	return srv
 }
@@ -118,7 +118,7 @@ func TestFarmAutoWarmAfterPublish(t *testing.T) {
 		t.Fatal("latest image vanished")
 	}
 	v3, err := vendor.BuildImage(vendorserver.Release{
-		AppID: testApp, Version: 3, Firmware: testbed.DeriveAppChange(img.Firmware, 64),
+		AppID: testApp, Version: 3, Firmware: testbed.DeriveAppChangeN(img.Firmware, 64, 2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
-// Package simdev provides the synthetic device fleet shared by the
-// load harness and the campaign control plane: a few dozen bytes of
+// Package simdev provides the synthetic device fleet of the campaign
+// control plane and the engine-scale tests: a few dozen bytes of
 // state per device and no real update work, so the campaign engine —
 // scheduling, aggregation, breaker, checkpointing — can be exercised
 // at 100k–1M devices, far past what full testbed stacks fit in memory.

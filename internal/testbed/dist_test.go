@@ -21,30 +21,66 @@ import (
 // cover the honest topologies; the poisoned-cache attacks live with the
 // other adversarial tests below (TestAdversary*).
 
-// distBed builds a bed whose pull clients run the content-addressed
-// path through a caching proxy.
-func distBed(t *testing.T, seed string) (*Bed, *proxy.Cache) {
-	t.Helper()
-	b := newBed(t, Options{Approach: platform.Pull, Seed: seed})
-	if err := b.PublishVersion(2, MakeFirmware(seed+"-v2", fwSize)); err != nil {
+// TestDistributeUpdatesThroughProxy: two devices update through one
+// caching proxy and a third straight from the origin, all on one
+// update server. The first proxied transfer fills the cache; the second
+// is served from it, so it costs the origin less than half of what the
+// direct device's transfer costs.
+func TestDistributeUpdatesThroughProxy(t *testing.T) {
+	suite, err := security.SuiteByName("tinycrypt", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cache := proxy.NewCache(&coap.Loopback{Handler: b.PullHandler()}, proxy.CacheOptions{})
-	b.Distribute(cache.Handle, BlockRoute{Name: "proxy", Handler: cache.Handle})
-	return b, cache
-}
+	vendor := vendorserver.New(suite, security.MustGenerateKey("dist-proxy-vendor"))
+	update := updateserver.New(suite, security.MustGenerateKey("dist-proxy-server"))
+	vendor.SetTelemetry(update.Telemetry())
+	pull := coap.NewPullServer(update)
+	cache := proxy.NewCache(&coap.Loopback{Handler: pull.Handle}, proxy.CacheOptions{})
 
-func TestDistributeUpdatesThroughProxy(t *testing.T) {
-	b, cache := distBed(t, "dist-proxy")
-	res, err := b.PullUpdate()
-	if err != nil {
-		t.Fatalf("PullUpdate through proxy: %v", err)
+	newDistBed := func(deviceID uint32, seed string, viaProxy bool) *Bed {
+		b, err := New(Options{
+			Approach:     platform.Pull,
+			DeviceID:     deviceID,
+			Seed:         seed,
+			SharedVendor: vendor,
+			SharedUpdate: update,
+			SharedPull:   pull,
+		}, MakeFirmware("dist-proxy-v1", fwSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaProxy {
+			b.Distribute(cache.Handle, BlockRoute{Name: "proxy", Handler: cache.Handle})
+		}
+		return b
 	}
-	if res.Version != 2 {
-		t.Fatalf("booted v%d, want v2", res.Version)
+	direct := newDistBed(0xD1, "dist-proxy-direct", false)
+	cold := newDistBed(0xC0, "dist-proxy-cold", true)
+	warm := newDistBed(0x3A, "dist-proxy-warm", true)
+	if err := direct.PublishVersion(2, MakeFirmware("dist-proxy-v2", fwSize)); err != nil {
+		t.Fatal(err)
 	}
+
+	egress := coap.OriginEgressCounter(update.Telemetry())
+	pullCost := func(name string, b *Bed) uint64 {
+		before := egress.Value()
+		res, err := b.PullUpdate()
+		if err != nil {
+			t.Fatalf("%s: PullUpdate: %v", name, err)
+		}
+		if res.Version != 2 {
+			t.Fatalf("%s: booted v%d, want v2", name, res.Version)
+		}
+		return egress.Value() - before
+	}
+	directCost := pullCost("direct", direct)
+	pullCost("cold proxy", cold)
 	if st := cache.Stats(); st.Fills == 0 {
 		t.Fatalf("cache stats = %+v: transfer must have filled the proxy", st)
+	}
+	if warmCost := pullCost("warm proxy", warm); warmCost*2 >= directCost {
+		t.Fatalf("origin egress %d B behind a warm proxy vs %d B direct: want at least 2x less",
+			warmCost, directCost)
 	}
 }
 

@@ -53,15 +53,25 @@ func hashSeed(s string) uint32 {
 
 // DeriveAppChange models Fig. 8b's "change in application
 // functionality": a localized modification of about editBytes
-// (the paper uses 1000 bytes of difference).
+// (the paper uses 1000 bytes of difference). It is the first change
+// of a release chain, DeriveAppChangeN(base, editBytes, 1).
 func DeriveAppChange(base []byte, editBytes int) []byte {
+	return DeriveAppChangeN(base, editBytes, 1)
+}
+
+// DeriveAppChangeN is the index-th application change of a release
+// chain (index >= 1): each index draws its own bytes at its own offset,
+// so v(n+1) = DeriveAppChangeN(vn, k, n) differs from every earlier
+// version. Chaining DeriveAppChange instead repeats the first edit and
+// leaves the image unchanged.
+func DeriveAppChangeN(base []byte, editBytes, index int) []byte {
 	out := make([]byte, len(base))
 	copy(out, base)
 	if len(out) == 0 {
 		return out
 	}
-	rng := rand.New(rand.NewSource(7))
-	start := len(out) / 3
+	rng := rand.New(rand.NewSource(int64(6 + index)))
+	start := (len(out)/3 + (index-1)*len(out)/7) % len(out)
 	for i := 0; i < editBytes && start+i < len(out); i++ {
 		out[start+i] = byte(rng.Intn(256))
 	}

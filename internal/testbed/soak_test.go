@@ -40,7 +40,7 @@ func TestSoakLongUpdateHistory(t *testing.T) {
 		// differential), sometimes a full rework.
 		var next []byte
 		if rng.Intn(2) == 0 {
-			next = DeriveAppChange(current, 500+rng.Intn(2000))
+			next = DeriveAppChangeN(current, 500+rng.Intn(2000), int(version))
 		} else {
 			next = MakeFirmware(fmt.Sprintf("soak-v%d", version+1), 48*1024)
 		}

@@ -2,7 +2,9 @@ package testbed
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -128,6 +130,25 @@ func TestDifferentialPullUpdate(t *testing.T) {
 	}
 	if !bytes.Equal(runningFirmware(t, b), v2) {
 		t.Fatal("patched firmware mismatch")
+	}
+}
+
+// TestDeriveAppChangeChain: a chain of application changes gives a new
+// image at every step, and the first step is pinned byte for byte
+// because Fig. 8b and the golden counters are computed from it.
+func TestDeriveAppChangeChain(t *testing.T) {
+	v1 := MakeFirmware("app-change-chain", 32*1024)
+	v2 := DeriveAppChangeN(v1, 1000, 1)
+	v3 := DeriveAppChangeN(v2, 1000, 2)
+	if bytes.Equal(v1, v2) || bytes.Equal(v2, v3) || bytes.Equal(v1, v3) {
+		t.Fatal("v1→v2→v3 chain repeated an image")
+	}
+	if !bytes.Equal(DeriveAppChange(v1, 1000), v2) {
+		t.Fatal("DeriveAppChange differs from index 1 of the chain")
+	}
+	const want = "946fb68c0b9206b84440e5662ff3e2f72e7c6f527a18bf66cb671a237e9d13c0"
+	if got := fmt.Sprintf("%x", sha256.Sum256(v2)); got != want {
+		t.Fatalf("first application change digest = %s, want %s", got, want)
 	}
 }
 

@@ -138,9 +138,13 @@ type patchCache struct {
 	hits, misses, waits, computations, evictions, invalidations, diskHits, diskMisses uint64
 }
 
-func newPatchCache(maxBytes int) *patchCache {
+// newPatchCache bounds the LRU to maxBytes (<= 0 disables memoisation
+// but keeps singleflight dedup) with disk, when non-nil, as its durable
+// tier.
+func newPatchCache(maxBytes int, disk *PatchStore) *patchCache {
 	return &patchCache{
 		maxBytes: maxBytes,
+		disk:     disk,
 		entries:  make(map[patchKey]*list.Element),
 		lru:      list.New(),
 		inflight: make(map[patchKey]*inflightPatch),
@@ -229,13 +233,6 @@ func (c *patchCache) resolve(key patchKey, baseDig, targetDig security.Digest, b
 	return res, false
 }
 
-// setDisk attaches the durable tier (construction time only).
-func (c *patchCache) setDisk(ps *PatchStore) {
-	c.mu.Lock()
-	c.disk = ps
-	c.mu.Unlock()
-}
-
 // insertLocked stores res under key and evicts from the cold end until
 // the size bound holds. Entries larger than the whole bound are not
 // cached at all.
@@ -279,22 +276,6 @@ func (c *patchCache) invalidateApp(appID uint32) {
 			c.invalidations++
 		}
 		el = next
-	}
-}
-
-// setMaxBytes rebounds the cache. n <= 0 disables caching (and flushes
-// everything); shrinking evicts immediately.
-func (c *patchCache) setMaxBytes(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxBytes = n
-	for c.curBytes > c.maxBytes || (c.maxBytes <= 0 && c.lru.Len() > 0) {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evictions++
 	}
 }
 

@@ -109,7 +109,8 @@ func TestPublishInvalidatesCachedPatches(t *testing.T) {
 }
 
 func TestCacheRespectsSizeBound(t *testing.T) {
-	s := newServers(t)
+	// Fit roughly one patch: every further pair evicts the previous one.
+	s := newServers(t, WithPatchCacheSize(1024))
 	base := bytes.Repeat([]byte("bound-test-firmware-"), 1200)
 	s.publish(t, 1, 1, base)
 	for v := uint16(2); v <= 4; v++ {
@@ -117,8 +118,6 @@ func TestCacheRespectsSizeBound(t *testing.T) {
 		copy(fw[10:], fmt.Sprintf("version-%d-edit", v))
 		s.publish(t, 1, v, fw)
 	}
-	// Fit roughly one patch: every further pair evicts the previous one.
-	s.update.SetPatchCacheSize(1024)
 	// Version pairs (1→4), (2→4), (3→4): three distinct keys.
 	for from := uint16(1); from <= 3; from++ {
 		tok := manifest.DeviceToken{DeviceID: uint32(from), Nonce: uint32(from), CurrentVersion: from}
@@ -135,12 +134,11 @@ func TestCacheRespectsSizeBound(t *testing.T) {
 	}
 }
 
-func TestSetPatchCacheSizeZeroDisablesCaching(t *testing.T) {
-	s := newServers(t)
+func TestPatchCacheSizeZeroDisablesCaching(t *testing.T) {
+	s := newServers(t, WithPatchCacheSize(0))
 	v1, v2 := firmwarePair(8 * 1024)
 	s.publish(t, 1, 1, v1)
 	s.publish(t, 1, 2, v2)
-	s.update.SetPatchCacheSize(0)
 	for i := range 3 {
 		tok := manifest.DeviceToken{DeviceID: uint32(i + 1), Nonce: uint32(i + 1), CurrentVersion: 1}
 		if _, err := s.update.PrepareUpdate(1, tok); err != nil {
@@ -187,16 +185,18 @@ func TestPreparedPayloadIsACopy(t *testing.T) {
 	}
 }
 
-func TestRetentionShrinkPrunesImmediately(t *testing.T) {
-	s := newServers(t)
+func TestRetentionPublishPrunesCachedBase(t *testing.T) {
+	s := newServers(t, WithRetention(2))
 	base := bytes.Repeat([]byte("retention-now-"), 1000)
-	for v := uint16(1); v <= 5; v++ {
+	publish := func(v uint16) {
 		fw := bytes.Clone(base)
 		fw[0] = byte(v)
 		s.publish(t, 1, v, fw)
 	}
-	// Warm the cache with a patch whose base is about to be pruned.
-	tok := manifest.DeviceToken{DeviceID: 1, Nonce: 1, CurrentVersion: 2}
+	publish(3)
+	publish(4)
+	// Warm the cache with a patch whose base the next publish prunes.
+	tok := manifest.DeviceToken{DeviceID: 1, Nonce: 1, CurrentVersion: 3}
 	u, err := s.update.PrepareUpdate(1, tok)
 	if err != nil {
 		t.Fatal(err)
@@ -205,14 +205,13 @@ func TestRetentionShrinkPrunesImmediately(t *testing.T) {
 		t.Fatal("expected a differential update before pruning")
 	}
 
-	// Shrinking retention must prune NOW, not on the next publish, and
-	// must drop the cached patches for the pruned bases.
-	s.update.SetRetention(2)
+	// Publishing v5 must prune v3 and drop the cached patches for it.
+	publish(5)
 	if _, ok := s.update.ImageByVersion(1, 3); ok {
-		t.Fatal("release v3 still stored after SetRetention(2)")
+		t.Fatal("release v3 still stored under WithRetention(2)")
 	}
 	if _, ok := s.update.ImageByVersion(1, 4); !ok {
-		t.Fatal("release v4 missing after SetRetention(2)")
+		t.Fatal("release v4 missing under WithRetention(2)")
 	}
 	if st := s.update.Stats(); st.Entries != 0 {
 		t.Fatalf("cache entries = %d after pruning, want 0", st.Entries)
@@ -263,9 +262,9 @@ func TestUnsubscribeStopsDeliveryAndReleasesChannel(t *testing.T) {
 
 // benchPrepareServers publishes a 64 KiB pair suited for differential
 // updates and returns the wired servers.
-func benchPrepareServers(b *testing.B) *servers {
+func benchPrepareServers(b *testing.B, opts ...Option) *servers {
 	b.Helper()
-	s := newServers(b)
+	s := newServers(b, opts...)
 	v1, v2 := firmwarePair(64 * 1024)
 	s.publish(b, 1, 1, v1)
 	s.publish(b, 1, 2, v2)
@@ -285,8 +284,7 @@ func BenchmarkPrepareUpdateWarmCache(b *testing.B) {
 // BenchmarkPrepareUpdateUncached is the same workload with the cache
 // disabled: every request pays the full bsdiff+LZSS cost.
 func BenchmarkPrepareUpdateUncached(b *testing.B) {
-	s := benchPrepareServers(b)
-	s.update.SetPatchCacheSize(0)
+	s := benchPrepareServers(b, WithPatchCacheSize(0))
 	benchLoop(b, s)
 	b.ReportMetric(float64(s.update.Stats().Computations), "diffs")
 }

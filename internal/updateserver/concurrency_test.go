@@ -225,13 +225,13 @@ func buildRelease(appID uint32, v uint16) vendorserver.Release {
 }
 
 // TestStressStoreUnderFullConcurrency is the whole-server stress test:
-// publishers, preparing devices, retention changes, and subscriber
-// churn all run at once against the sharded store (run with -race, as
+// publishers (pruning to a retention bound on every publish),
+// preparing devices, and subscriber churn all run at once against the sharded store (run with -race, as
 // CI does). Afterwards: no published release may be lost (up to
 // retention), every reader must have observed a monotonically
 // non-decreasing Latest, and no subscriber may leak.
 func TestStressStoreUnderFullConcurrency(t *testing.T) {
-	s := newServers(t)
+	s := newServers(t, WithRetention(5))
 	const (
 		apps        = 4
 		versionsPer = 25
@@ -308,20 +308,6 @@ func TestStressStoreUnderFullConcurrency(t *testing.T) {
 		}(r)
 	}
 
-	// Retention churn: flip between bounded and unbounded while
-	// everything else runs.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := range 40 {
-			if i%2 == 0 {
-				s.update.SetRetention(5)
-			} else {
-				s.update.SetRetention(0)
-			}
-		}
-	}()
-
 	// Subscriber churn.
 	for range churners {
 		wg.Add(1)
@@ -344,7 +330,7 @@ func TestStressStoreUnderFullConcurrency(t *testing.T) {
 	}
 
 	// No lost releases: every app ends on its final version, and the
-	// newest releases survive whatever retention was last set.
+	// newest releases survive retention.
 	for app := uint32(1); app <= apps; app++ {
 		if v, ok := s.update.Latest(app); !ok || v != versionsPer {
 			t.Errorf("app %d: Latest = (%d,%v), want (%d,true)", app, v, ok, versionsPer)

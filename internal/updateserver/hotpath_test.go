@@ -115,13 +115,12 @@ func TestEncryptedStormKeepsSharedBlocks(t *testing.T) {
 // patch *retention* (cache size 0) must not disable concurrent-request
 // *dedup* — a thundering herd on one cold pair costs one diff, not N.
 func TestDisabledCacheKeepsSingleflight(t *testing.T) {
-	s := newServers(t)
+	s := newServers(t, WithPatchCacheSize(0))
 	base := bytes.Repeat([]byte("no-cache-singleflight-section-"), 2048)
 	edit := bytes.Clone(base)
 	copy(edit[128:], []byte("the-only-change"))
 	s.publish(t, 1, 1, base)
 	s.publish(t, 1, 2, edit)
-	s.update.SetPatchCacheSize(0)
 
 	const devices = 32
 	var start, wg sync.WaitGroup

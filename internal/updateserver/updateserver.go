@@ -99,8 +99,7 @@ type Server struct {
 	entropy    io.Reader
 
 	// retain bounds stored releases per app; 0 keeps everything.
-	retainMu sync.Mutex
-	retain   int
+	retain int
 
 	// shards configures the default in-memory store's shard count;
 	// ignored when WithStore injects a backend.
@@ -108,8 +107,10 @@ type Server struct {
 
 	// cache memoises differential payloads per (app, from, to) pair
 	// with singleflight dedup; see cache.go. It has its own lock and is
-	// independent of the store's locks.
-	cache *patchCache
+	// independent of the store's locks. cacheBytes holds
+	// WithPatchCacheSize's argument until New builds it.
+	cache      *patchCache
+	cacheBytes int
 
 	// patchStore, when non-nil, is the durable tier behind the patch
 	// cache (WithPatchStore); the cache holds the same pointer. The
@@ -162,10 +163,11 @@ type serverMetrics struct {
 type Option func(*Server)
 
 // WithPatchCacheSize bounds the differential-patch cache to n bytes;
-// n <= 0 disables caching (and singleflight dedup) entirely. The
-// default is DefaultPatchCacheBytes.
+// n <= 0 disables memoisation, though concurrent requests for one cold
+// pair still share one computation. The default is
+// DefaultPatchCacheBytes.
 func WithPatchCacheSize(n int) Option {
-	return func(s *Server) { s.cache.setMaxBytes(n) }
+	return func(s *Server) { s.cacheBytes = n }
 }
 
 // WithBlockStoreSize bounds the named-block registry to n bytes
@@ -193,12 +195,7 @@ func WithPrivateBlockStoreSize(n int) Option {
 // caller keeps ownership and closes the store on shutdown, mirroring
 // WithStore.
 func WithPatchStore(ps *PatchStore) Option {
-	return func(s *Server) {
-		if ps != nil {
-			s.patchStore = ps
-			s.cache.setDisk(ps)
-		}
-	}
+	return func(s *Server) { s.patchStore = ps }
 }
 
 // WithSigners arms a pool of n parallel manifest signers (n <= 0
@@ -217,7 +214,10 @@ func WithSigners(n int) Option {
 }
 
 // WithRetention bounds the number of releases kept per app; 0 (the
-// default) keeps everything.
+// default) keeps everything. Every Publish prunes past the bound, and a
+// pruned release stops being a differential base: devices reporting
+// that version get the full image (the token field covers this,
+// §III-B).
 func WithRetention(n int) Option {
 	return func(s *Server) { s.retain = n }
 }
@@ -267,33 +267,6 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 		}
 	}
 }
-
-// SetRetention bounds the number of releases kept per app, pruning
-// immediately when the new bound is tighter than the stored history.
-// Pruning a release removes it as a differential base — devices
-// reporting that version fall back to full images (the paper's token
-// field already covers this, §III-B) — and drops the pruned app's
-// cached patches.
-//
-// Deprecated: pass WithRetention to New instead; this remains for
-// callers that re-tune a running server.
-func (s *Server) SetRetention(n int) {
-	s.retainMu.Lock()
-	s.retain = n
-	s.retainMu.Unlock()
-	for _, app := range s.store.Prune(n) {
-		s.cache.invalidateApp(app)
-	}
-}
-
-// SetPatchCacheSize rebounds the differential-patch cache to n bytes.
-// n <= 0 disables caching (and singleflight dedup) entirely — the
-// reference configuration the benchmarks compare against. New servers
-// start with DefaultPatchCacheBytes.
-//
-// Deprecated: pass WithPatchCacheSize to New instead; this remains for
-// callers that re-tune a running server.
-func (s *Server) SetPatchCacheSize(n int) { s.cache.setMaxBytes(n) }
 
 // Stats snapshots the patch cache's hit/miss/singleflight counters.
 func (s *Server) Stats() CacheStats { return s.cache.stats() }
@@ -354,16 +327,17 @@ func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 // any options.
 func New(suite security.Suite, key *security.PrivateKey, opts ...Option) *Server {
 	s := &Server{
-		suite:  suite,
-		key:    key,
-		bus:    announce.New[Announcement](announce.DefaultBuffer),
-		shards: DefaultStoreShards,
-		cache:  newPatchCache(DefaultPatchCacheBytes),
-		tel:    telemetry.NewRegistry(),
+		suite:      suite,
+		key:        key,
+		bus:        announce.New[Announcement](announce.DefaultBuffer),
+		shards:     DefaultStoreShards,
+		tel:        telemetry.NewRegistry(),
+		cacheBytes: DefaultPatchCacheBytes,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.cache = newPatchCache(s.cacheBytes, s.patchStore)
 	if s.store == nil {
 		s.store = NewMemStore(s.shards)
 	}
@@ -516,12 +490,9 @@ func (s *Server) Publish(img *vendorserver.Image) error {
 	if err := s.store.Publish(img); err != nil {
 		return err
 	}
-	s.retainMu.Lock()
-	retain := s.retain
-	s.retainMu.Unlock()
 	var pruned []uint32
-	if retain > 0 {
-		pruned = s.store.Prune(retain)
+	if s.retain > 0 {
+		pruned = s.store.Prune(s.retain)
 	}
 
 	// Every cached patch for this app targets a now-superseded latest

@@ -18,13 +18,13 @@ type servers struct {
 	update *Server
 }
 
-func newServers(t testing.TB) *servers {
+func newServers(t testing.TB, opts ...Option) *servers {
 	t.Helper()
 	suite := security.NewTinyCrypt()
 	return &servers{
 		suite:  suite,
 		vendor: vendorserver.New(suite, security.MustGenerateKey("us-vendor")),
-		update: New(suite, security.MustGenerateKey("us-server")),
+		update: New(suite, security.MustGenerateKey("us-server"), opts...),
 	}
 }
 
@@ -219,8 +219,7 @@ func TestEachRequestGetsDistinctSignature(t *testing.T) {
 }
 
 func TestRetentionPrunesOldReleases(t *testing.T) {
-	s := newServers(t)
-	s.update.SetRetention(2)
+	s := newServers(t, WithRetention(2))
 	base := bytes.Repeat([]byte("retained-release"), 1000)
 	for v := uint16(1); v <= 5; v++ {
 		fw := bytes.Clone(base)

@@ -32,175 +32,92 @@
 //	result, _ := dep.PullUpdate() // transfer, double verification, reboot
 //	fmt.Println(result.Version)   // 2
 //
-// The package re-exports the framework's building blocks so downstream
-// code can assemble custom deployments: key handling and crypto suites
-// (security), manifests and device tokens (manifest), the agent,
-// bootloader, slots, simulated flash, and both servers.
+// The package re-exports the building blocks the examples and commands
+// assemble custom deployments from: keys and crypto suites, both
+// servers, devices and deployments, the distribution tier, fleet
+// campaigns, experiments, and SUIT export.
 package upkit
 
 import (
-	"io"
-
-	"upkit/internal/agent"
 	"upkit/internal/bootloader"
 	"upkit/internal/coap"
-	"upkit/internal/controlplane"
 	"upkit/internal/device"
 	"upkit/internal/dist"
 	"upkit/internal/events"
 	"upkit/internal/experiments"
-	"upkit/internal/flash"
 	"upkit/internal/fleet"
-	"upkit/internal/httpapi"
 	"upkit/internal/manifest"
-	"upkit/internal/patchfarm"
 	"upkit/internal/platform"
 	"upkit/internal/proxy"
 	"upkit/internal/security"
-	"upkit/internal/slot"
 	"upkit/internal/suit"
-	"upkit/internal/telemetry"
 	"upkit/internal/testbed"
 	"upkit/internal/updateserver"
 	"upkit/internal/vendorserver"
 	"upkit/internal/verifier"
 )
 
-// Core protocol types.
+// Protocol types, keys and crypto suites.
 type (
-	// Manifest is the update-image metadata with its double signature.
-	Manifest = manifest.Manifest
 	// DeviceToken is the per-request freshness token (device ID, nonce,
 	// current version).
 	DeviceToken = manifest.DeviceToken
-)
-
-// Cryptography.
-type (
-	// Suite is the security interface over digest + ECDSA operations.
-	Suite = security.Suite
-	// PrivateKey is a P-256 signing key.
-	PrivateKey = security.PrivateKey
-	// PublicKey is a P-256 verification key.
-	PublicKey = security.PublicKey
 	// Keys holds a device's provisioned verification keys.
 	Keys = verifier.Keys
-	// HSM is the simulated ATECC508 secure element.
-	HSM = security.HSM
 )
 
-// Key lifecycle: versioned verification keys, root-signed records, and
-// revocation, distributed to devices over the update channel itself.
-type (
-	// KeyRecord is a root-signed (role, key ID, validity window,
-	// public key) statement introducing a verification key.
-	KeyRecord = security.KeyRecord
-	// RevocationList is a root-signed, sequence-numbered list of
-	// revoked key IDs. Revocation is cumulative and irreversible.
-	RevocationList = security.RevocationList
-	// RevocationEntry names one revoked (role, key ID) pair.
-	RevocationEntry = security.RevocationEntry
-	// KeyBundle packs key records and a revocation list into the blob
-	// served at /api/v1/keys (HTTP) and /upkit/keys (CoAP).
-	KeyBundle = security.KeyBundle
-	// Keystore is the device-side key table: it verifies records
-	// against the factory-provisioned root key and answers the
-	// verifier's key lookups with lifecycle state attached.
-	Keystore = security.Keystore
-	// KeyRole distinguishes vendor keys from update-server keys.
-	KeyRole = security.KeyRole
-)
+// RoleServer marks an update-server key in key records and revocation
+// lists.
+const RoleServer = security.RoleServer
 
-// Key roles.
-const (
-	RoleVendor = security.RoleVendor
-	RoleServer = security.RoleServer
-)
+// NewTinyCrypt returns the tinycrypt-profile software crypto suite.
+func NewTinyCrypt() security.Suite { return security.NewTinyCrypt() }
 
-// NewKeystore builds a device keystore anchored at the vendor root
-// verification key. now supplies Unix seconds for validity windows and
-// may be nil on devices without a clock.
-func NewKeystore(suite Suite, root *PublicKey, now func() uint64) *Keystore {
-	return security.NewKeystore(suite, root, now)
+// NewCryptoAuthLib returns a suite backed by a simulated ATECC508 HSM.
+func NewCryptoAuthLib(hsm *security.HSM) security.Suite { return security.NewCryptoAuthLib(hsm) }
+
+// NewHSM returns an unprovisioned simulated ATECC508.
+func NewHSM() *security.HSM { return security.NewHSM() }
+
+// MustGenerateKey derives a reproducible key pair from a seed — for
+// tests, simulations, and examples only.
+func MustGenerateKey(seed string) *security.PrivateKey { return security.MustGenerateKey(seed) }
+
+// Servers.
+
+// Release is a firmware release submitted to the vendor server.
+type Release = vendorserver.Release
+
+// NewVendorServer creates a vendor server signing with key under suite.
+func NewVendorServer(suite security.Suite, key *security.PrivateKey) *vendorserver.Server {
+	return vendorserver.New(suite, key)
 }
 
-// ParseKeyRecord decodes a signed key record from its wire form.
-func ParseKeyRecord(data []byte) (*KeyRecord, error) { return security.ParseKeyRecord(data) }
+// UpdateServerOption tunes an update server at construction time.
+type UpdateServerOption = updateserver.Option
 
-// ParseRevocationList decodes a signed revocation list.
-func ParseRevocationList(data []byte) (*RevocationList, error) {
-	return security.ParseRevocationList(data)
+// WithSigners arms the update server's parallel manifest-signing pool
+// with n workers (n <= 0 selects GOMAXPROCS). The pool bounds ECDSA
+// concurrency under heavy request traffic; without it every request
+// signs inline.
+func WithSigners(n int) UpdateServerOption { return updateserver.WithSigners(n) }
+
+// NewUpdateServer creates an update server signing with key under suite.
+func NewUpdateServer(suite security.Suite, key *security.PrivateKey, opts ...UpdateServerOption) *updateserver.Server {
+	return updateserver.New(suite, key, opts...)
 }
 
-// ParseKeyBundle decodes a key bundle.
-func ParseKeyBundle(data []byte) (*KeyBundle, error) { return security.ParseKeyBundle(data) }
-
-// Server side.
+// Devices and deployments.
 type (
-	// VendorServer signs firmware releases (first signature).
-	VendorServer = vendorserver.Server
-	// Release is a firmware release submitted to the vendor server.
-	Release = vendorserver.Release
-	// Image is a vendor-signed update image.
-	Image = vendorserver.Image
-	// UpdateServer distributes images with per-request signatures and
-	// differential payloads.
-	UpdateServer = updateserver.Server
-	// Update is a prepared, double-signed update ready for transfer.
-	Update = updateserver.Update
-	// UpdateServerStats snapshots the server's differential-patch
-	// cache counters (UpdateServer.Stats).
-	UpdateServerStats = updateserver.CacheStats
-	// ReleaseStore is the release repository behind an update server:
-	// sharded in-memory by default, file-backed for durability.
-	ReleaseStore = updateserver.ReleaseStore
-	// ReleaseStoreStats sizes a release store (UpdateServer.Store().Stats()).
-	ReleaseStoreStats = updateserver.StoreStats
-	// ReleaseFileStore is the durable, crash-safe release store backed
-	// by per-app record logs under a state directory.
-	ReleaseFileStore = updateserver.FileStore
-	// Announcement is a new-release notice delivered to subscribers.
-	Announcement = updateserver.Announcement
-)
-
-// Device side.
-type (
-	// Agent is the update agent FSM.
-	Agent = agent.Agent
-	// AgentConfig wires an agent into a device.
-	AgentConfig = agent.Config
-	// Bootloader performs boot-time verification and loading.
-	Bootloader = bootloader.Bootloader
-	// BootMode selects static (Configuration B) or A/B (Configuration A)
-	// loading.
-	BootMode = bootloader.Mode
-	// Slot is one update-image slot on simulated flash.
-	Slot = slot.Slot
-	// Flash is a simulated NOR flash chip.
-	Flash = flash.Memory
-	// FlashGeometry describes a chip and its timing model.
-	FlashGeometry = flash.Geometry
-	// Device is a fully wired simulated IoT device.
-	Device = device.Device
-	// DeviceOptions configures a Device.
+	// DeviceOptions configures a simulated device.
 	DeviceOptions = device.Options
-	// MCU is a hardware-platform profile.
-	MCU = platform.MCU
 	// Smartphone is the push-approach proxy application.
 	Smartphone = proxy.Smartphone
-	// PullClient drives an agent through the CoAP pull flow.
-	PullClient = coap.PullClient
-)
-
-// Deployment wiring.
-type (
 	// Deployment is a complete wired system: vendor server, update
 	// server, radio link, and one simulated device.
 	Deployment = testbed.Bed
 	// DeploymentOptions configures a Deployment.
 	DeploymentOptions = testbed.Options
-	// BootResult describes a completed boot.
-	BootResult = bootloader.Result
 )
 
 // Boot modes.
@@ -221,75 +138,8 @@ const (
 	Push = platform.Push
 )
 
-// Crypto suite constructors.
-
-// NewTinyDTLS returns the TinyDTLS-profile software crypto suite.
-func NewTinyDTLS() Suite { return security.NewTinyDTLS() }
-
-// NewTinyCrypt returns the tinycrypt-profile software crypto suite.
-func NewTinyCrypt() Suite { return security.NewTinyCrypt() }
-
-// NewCryptoAuthLib returns a suite backed by a simulated ATECC508 HSM.
-func NewCryptoAuthLib(hsm *HSM) Suite { return security.NewCryptoAuthLib(hsm) }
-
-// NewHSM returns an unprovisioned simulated ATECC508.
-func NewHSM() *HSM { return security.NewHSM() }
-
-// GenerateKey creates a P-256 key pair from the entropy source r (use
-// crypto/rand.Reader in production).
-func GenerateKey(r io.Reader) (*PrivateKey, error) { return security.GenerateKey(r) }
-
-// MustGenerateKey derives a reproducible key pair from a seed — for
-// tests, simulations, and examples only.
-func MustGenerateKey(seed string) *PrivateKey { return security.MustGenerateKey(seed) }
-
-// Server constructors.
-
-// NewVendorServer creates a vendor server signing with key under suite.
-func NewVendorServer(suite Suite, key *PrivateKey) *VendorServer {
-	return vendorserver.New(suite, key)
-}
-
-// UpdateServerOption tunes an update server at construction time.
-type UpdateServerOption = updateserver.Option
-
-// WithPatchCacheSize bounds the differential-patch cache to n bytes;
-// zero disables caching.
-func WithPatchCacheSize(n int) UpdateServerOption { return updateserver.WithPatchCacheSize(n) }
-
-// WithRetention bounds the number of releases kept per app.
-func WithRetention(n int) UpdateServerOption { return updateserver.WithRetention(n) }
-
-// WithTelemetry makes the server report into reg instead of a private
-// registry — share one registry across servers to aggregate scrapes.
-func WithTelemetry(reg *MetricsRegistry) UpdateServerOption {
-	return updateserver.WithTelemetry(reg)
-}
-
-// WithStore backs the update server with an explicit release store —
-// e.g. a NewReleaseFileStore for durability across restarts.
-func WithStore(st ReleaseStore) UpdateServerOption { return updateserver.WithStore(st) }
-
-// WithShards sets the shard count of the default in-memory release
-// store (ignored when WithStore is given).
-func WithShards(n int) UpdateServerOption { return updateserver.WithShards(n) }
-
-// NewReleaseFileStore opens (creating if needed) a durable release
-// store rooted at dir, replaying its per-app record logs; pass it to
-// NewUpdateServer via WithStore and Close it on shutdown.
-func NewReleaseFileStore(dir string) (*ReleaseFileStore, error) {
-	return updateserver.NewFileStore(dir)
-}
-
-// NewUpdateServer creates an update server signing with key under suite.
-func NewUpdateServer(suite Suite, key *PrivateKey, opts ...UpdateServerOption) *UpdateServer {
-	return updateserver.New(suite, key, opts...)
-}
-
-// Device and deployment constructors.
-
 // NewDevice builds a simulated constrained device.
-func NewDevice(opts DeviceOptions) (*Device, error) { return device.New(opts) }
+func NewDevice(opts DeviceOptions) (*device.Device, error) { return device.New(opts) }
 
 // NewDeployment wires a complete system and factory-provisions the
 // device with firmware as version 1. Pass nil firmware to get an
@@ -301,13 +151,13 @@ func NewDeployment(opts DeploymentOptions, firmware []byte) (*Deployment, error)
 // Hardware profiles of the paper's evaluation platforms.
 
 // NRF52840 returns the Nordic nRF52840 profile.
-func NRF52840() MCU { return platform.NRF52840() }
+func NRF52840() platform.MCU { return platform.NRF52840() }
 
 // CC2650 returns the TI CC2650 profile (with external SPI flash).
-func CC2650() MCU { return platform.CC2650() }
+func CC2650() platform.MCU { return platform.CC2650() }
 
 // CC2538 returns the TI CC2538 profile.
-func CC2538() MCU { return platform.CC2538() }
+func CC2538() platform.MCU { return platform.CC2538() }
 
 // Workload helpers.
 
@@ -327,6 +177,9 @@ func DeriveOSChange(base []byte) []byte { return testbed.DeriveOSChange(base) }
 
 // Experiments.
 
+// ExperimentTable is one regenerated table or figure.
+type ExperimentTable = experiments.Table
+
 // ExperimentIDs lists the reproducible tables/figures/ablations.
 func ExperimentIDs() []string { return experiments.IDs() }
 
@@ -334,60 +187,10 @@ func ExperimentIDs() []string { return experiments.IDs() }
 // evaluation; the result's Render method returns the printable table.
 func RunExperiment(id string) (*ExperimentTable, error) { return experiments.Run(id) }
 
-// ExperimentTable is one regenerated table or figure.
-type ExperimentTable = experiments.Table
-
-// Observability.
-
-type (
-	// EventLog records a device's update lifecycle.
-	EventLog = events.Log
-	// Event is one recorded lifecycle occurrence.
-	Event = events.Event
-	// EventKind classifies lifecycle events.
-	EventKind = events.Kind
-	// MetricsRegistry collects counters, gauges, and histograms and
-	// serves them in Prometheus text exposition format.
-	MetricsRegistry = telemetry.Registry
-	// SpanTracer traces updates end-to-end across the paper's four
-	// phases; every MetricsRegistry carries one (Spans).
-	SpanTracer = telemetry.Tracer
-	// UpdateSpan is one update's accumulated phase breakdown.
-	UpdateSpan = telemetry.Span
-	// UpdateSpanKey identifies one update flow: the (device, app,
-	// from→to version) tuple the double signature binds.
-	UpdateSpanKey = telemetry.SpanKey
-	// UpdatePhase names one of the four update phases.
-	UpdatePhase = telemetry.Phase
-)
-
-// The paper's four update phases (Fig. 8a), in pipeline order.
+// Event kinds a deployment's event log records, for matching log
+// entries.
 const (
-	PhaseGeneration   = telemetry.PhaseGeneration
-	PhasePropagation  = telemetry.PhasePropagation
-	PhaseVerification = telemetry.PhaseVerification
-	PhaseLoading      = telemetry.PhaseLoading
-)
-
-// NewMetricsRegistry creates an empty metrics registry, typically
-// shared across servers and devices via WithTelemetry and
-// DeploymentOptions.Telemetry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// Event kinds, re-exported so facade users can match log entries.
-const (
-	EventTokenIssued      = events.KindTokenIssued
-	EventManifestAccepted = events.KindManifestAccepted
-	EventManifestRejected = events.KindManifestRejected
-	EventFirmwareVerified = events.KindFirmwareVerified
 	EventFirmwareRejected = events.KindFirmwareRejected
-	EventUpdateStaged     = events.KindUpdateStaged
-	EventRebooted         = events.KindRebooted
-	EventBootVerified     = events.KindBootVerified
-	EventInstalled        = events.KindInstalled
-	EventRolledBack       = events.KindRolledBack
-	EventSwapResumed      = events.KindSwapResumed
-	EventBootFailed       = events.KindBootFailed
 	EventSourceFailover   = events.KindSourceFailover
 )
 
@@ -399,233 +202,60 @@ const (
 // installed image.
 
 type (
-	// BlockName is a payload's content address.
-	BlockName = dist.Name
-	// BlockSource serves fixed-size blocks of named payloads — the seam
-	// the origin, proxies, and peers all implement.
-	BlockSource = dist.Source
-	// BlockRegistry is an in-memory named-payload store with LRU
-	// eviction: the origin's block store, or a peer's share cache.
-	BlockRegistry = dist.Registry
-	// BlockRegistryStats snapshots a registry (BlockRegistry.Stats).
-	BlockRegistryStats = dist.RegistryStats
-	// BlockCacheStats snapshots a caching tier (ProxyCache.Stats).
-	BlockCacheStats = dist.CacheStats
-	// BlockServer answers CoAP GET /upkit/blocks from a BlockSource —
+	// BlockServer answers CoAP GET /upkit/blocks from a block source —
 	// mount its Handle to serve blocks (e.g. as a peer).
 	BlockServer = coap.BlockServer
-	// ProxyCache is the caching CoAP proxy tier: named blocks from an
-	// LRU cache with singleflight origin fill, everything else forwarded.
-	ProxyCache = proxy.Cache
-	// ProxyCacheOptions configures a ProxyCache.
+	// ProxyCacheOptions configures a caching proxy.
 	ProxyCacheOptions = proxy.CacheOptions
-	// PullSource is one named-block source a PullClient tries in order
-	// (peer, proxy, origin) before the session transfer path.
-	PullSource = coap.BlockSource
 	// DistributionRoute is one block source in a Deployment's serve
 	// topology (Deployment.Distribute).
 	DistributionRoute = testbed.BlockRoute
-	// CoAPExchanger performs one confirmable CoAP exchange — how a
-	// ProxyCache reaches its origin.
-	CoAPExchanger = coap.Exchanger
-	// CoAPLoopback adapts an in-process CoAP handler into a
-	// CoAPExchanger, running the full codec round trip.
+	// CoAPLoopback adapts an in-process CoAP handler into an exchanger,
+	// running the full codec round trip.
 	CoAPLoopback = coap.Loopback
 	// CoAPMessage is one CoAP message (for custom middleboxes).
 	CoAPMessage = coap.Message
 )
 
-// BlockNameOf computes the content address of a payload.
-func BlockNameOf(payload []byte) BlockName { return dist.NameOf(payload) }
-
-// ParseBlockName decodes a hex content address.
-func ParseBlockName(s string) (BlockName, error) { return dist.ParseName(s) }
-
 // NewBlockRegistry creates a named-payload store bounded to maxBytes
 // (a package default when <= 0).
-func NewBlockRegistry(maxBytes int) *BlockRegistry { return dist.NewRegistry(maxBytes) }
+func NewBlockRegistry(maxBytes int) *dist.Registry { return dist.NewRegistry(maxBytes) }
 
-// NewProxyCache creates a caching proxy whose origin is reached over
-// origin — a CoAPLoopback in simulations, a UDP exchanger in
-// cmd/upkit-proxy.
-func NewProxyCache(origin CoAPExchanger, opts ProxyCacheOptions) *ProxyCache {
+// NewProxyCache creates a caching proxy — named blocks from an LRU
+// cache with singleflight origin fill, everything else forwarded —
+// whose origin is reached over origin: a CoAPLoopback in simulations,
+// a UDP exchanger in cmd/upkit-proxy.
+func NewProxyCache(origin coap.Exchanger, opts ProxyCacheOptions) *proxy.Cache {
 	return proxy.NewCache(origin, opts)
 }
 
-// WithBlockStoreSize bounds the update server's named-block store to n
-// bytes (a package default when <= 0).
-func WithBlockStoreSize(n int) UpdateServerOption { return updateserver.WithBlockStoreSize(n) }
-
-// WithPrivateBlockStoreSize bounds the private registry holding
-// per-device encrypted payloads — segregated from the fleet-shared
-// block store so an encrypted campaign cannot evict shared patch
-// blocks (a package default when <= 0).
-func WithPrivateBlockStoreSize(n int) UpdateServerOption {
-	return updateserver.WithPrivateBlockStoreSize(n)
-}
-
-// Serve-path patch farm: precomputed diffs, a durable patch store, and
-// parallel manifest signing.
-
-type (
-	// PatchStore is the durable tier behind the update server's patch
-	// cache: CRC-framed, fsynced-before-visible, digest-pinned patch
-	// records that survive a server restart. Open one with
-	// OpenPatchStore and attach it via WithPatchStore.
-	PatchStore = updateserver.PatchStore
-	// PatchStoreStats snapshots a PatchStore's counters.
-	PatchStoreStats = updateserver.PatchStoreStats
-	// VersionPair identifies one (from → to) differential for an app;
-	// To zero means "the latest at warm time".
-	VersionPair = updateserver.VersionPair
-	// WarmResult reports what UpdateServer.WarmPatch found or did.
-	WarmResult = updateserver.WarmResult
-	// PatchFarm is the worker pool precomputing differential patches
-	// off the serve path (internal/patchfarm).
-	PatchFarm = patchfarm.Farm
-	// PatchFarmConfig sizes a PatchFarm (workers, queue, auto-warm).
-	PatchFarmConfig = patchfarm.Config
-	// PatchFarmStats snapshots a PatchFarm's counters.
-	PatchFarmStats = patchfarm.FarmStats
-)
-
-// OpenPatchStore opens (creating if needed) the durable patch store
-// rooted at dir, bounded to maxBytes of live patch bytes (a package
-// default when <= 0), replaying its log and truncating any torn tail.
-func OpenPatchStore(dir string, maxBytes int) (*PatchStore, error) {
-	return updateserver.OpenPatchStore(dir, maxBytes)
-}
-
-// WithPatchStore attaches a durable patch store behind the in-memory
-// patch cache: memory misses probe it before diffing and fresh
-// computations are persisted, so warm patches survive restarts. The
-// caller keeps ownership and must Close it after the server.
-func WithPatchStore(ps *PatchStore) UpdateServerOption {
-	return updateserver.WithPatchStore(ps)
-}
-
-// WithSigners arms the update server's parallel manifest-signing pool
-// with n workers (n <= 0 selects GOMAXPROCS). The pool bounds ECDSA
-// concurrency under heavy request traffic; without it every request
-// signs inline.
-func WithSigners(n int) UpdateServerOption { return updateserver.WithSigners(n) }
-
-// NewPatchFarm starts a patch farm warming srv; Close it on shutdown.
-// Mount its admin endpoints (POST /api/v1/patchfarm/warm,
-// GET /api/v1/patchfarm/stats) with srv.Mount(farm.Register).
-func NewPatchFarm(srv *UpdateServer, cfg PatchFarmConfig) *PatchFarm {
-	return patchfarm.New(srv, cfg)
-}
-
 // Fleet campaigns.
-
 type (
-	// Campaign rolls a release across a fleet in staged waves with
-	// failure gates, a mid-wave circuit breaker, and per-device retries.
-	Campaign = fleet.Campaign
 	// CampaignPolicy tunes staging, gates, retries, and parallelism.
 	CampaignPolicy = fleet.Policy
-	// CampaignReport summarises a campaign run with streaming counters
-	// and bounded per-device samples (O(1) in fleet size).
-	CampaignReport = fleet.Report
-	// CampaignStage summarises one rollout stage within a report.
-	CampaignStage = fleet.StageSummary
-	// CampaignCheckpoint is a campaign's serializable resume state;
-	// obtain it from Campaign.Checkpoint after an aborted or paused run
-	// and feed it to Campaign.Restore to continue where the run stopped.
-	CampaignCheckpoint = fleet.Checkpoint
-	// CampaignProgress is a concurrency-safe snapshot of a campaign —
-	// live per-stage counts, throughput, and ETA while a run is in
-	// flight (Campaign.Progress).
-	CampaignProgress = fleet.Progress
-	// CampaignStageProgress is one stage's tally within a progress
-	// snapshot.
-	CampaignStageProgress = fleet.StageProgress
 	// FleetUpdater is one device's update entry point in a campaign.
 	FleetUpdater = fleet.Updater
 )
 
-// ErrCampaignAborted is returned (wrapped) when a campaign's stage
-// gate trips; ErrBreakerTripped — which wraps ErrCampaignAborted — when
-// the mid-wave circuit breaker halts the rollout. ErrCampaignPaused
-// marks a run halted by Campaign.Pause: unattempted devices stay
-// pending and the checkpoint re-dispatches exactly them.
-var (
-	ErrCampaignAborted = fleet.ErrCampaignAborted
-	ErrBreakerTripped  = fleet.ErrBreakerTripped
-	ErrCampaignPaused  = fleet.ErrCampaignPaused
-)
-
-// NewCampaign creates a rollout of target across devices. RunContext
-// is the primary entry point (Run is a convenience wrapper); Pause,
-// Progress, and Checkpoint observe and manage the run from other
-// goroutines.
-func NewCampaign(target uint16, policy CampaignPolicy, devices []FleetUpdater) (*Campaign, error) {
+// NewCampaign creates a rollout of target across devices in staged
+// waves with failure gates, a mid-wave circuit breaker, and per-device
+// retries. RunContext is the primary entry point (Run is a convenience
+// wrapper); Pause, Progress, and Checkpoint observe and manage the run
+// from other goroutines.
+func NewCampaign(target uint16, policy CampaignPolicy, devices []FleetUpdater) (*fleet.Campaign, error) {
 	return fleet.New(target, policy, devices)
 }
 
-// ParseCampaignCheckpoint decodes resume state produced by
-// CampaignCheckpoint.Marshal.
-func ParseCampaignCheckpoint(blob []byte) (*CampaignCheckpoint, error) {
-	return fleet.ParseCheckpoint(blob)
-}
-
-// Campaign control plane: campaigns as HTTP resources
-// (/api/v1/campaigns) with live progress, pause/resume/abort, and
-// per-device attempt history.
-
-type (
-	// CampaignManager owns server-managed campaigns: creation,
-	// lifecycle transitions, persistence, and the census registry.
-	// Mount it on an update server with UpdateServerRoutes.
-	CampaignManager = controlplane.Manager
-	// CampaignManagerConfig sizes a manager (persistence directory,
-	// fleet and history bounds).
-	CampaignManagerConfig = controlplane.Config
-	// CampaignCensus names the device population a campaign rolls over.
-	CampaignCensus = controlplane.Census
-	// CampaignCreateRequest is the body of POST /api/v1/campaigns.
-	CampaignCreateRequest = controlplane.CreateRequest
-	// CampaignStatus is a campaign's externally visible state.
-	CampaignStatus = controlplane.Status
-	// CampaignClient drives the campaign API over HTTP.
-	CampaignClient = controlplane.Client
-	// DeviceAttempt is one recorded terminal device outcome in a
-	// campaign's per-device history.
-	DeviceAttempt = controlplane.Attempt
-)
-
-// NewCampaignManager opens a campaign control plane rooted at
-// cfg.Dir, reloading persisted campaigns; an empty Dir keeps
-// campaigns in memory only.
-func NewCampaignManager(cfg CampaignManagerConfig) (*CampaignManager, error) {
-	return controlplane.NewManager(cfg)
-}
-
-// UpdateServerRoutes mounts extra route registrations — typically a
-// CampaignManager's Register — on an update server's HTTP API.
-func UpdateServerRoutes(register func(*APIRouteTable)) updateserver.Option {
-	return updateserver.WithRoutes(register)
-}
-
-// APIRouteTable is the unified /api/v1 route table (shared JSON error
-// envelope, 405+Allow, enveloped 404) that all UpKit HTTP surfaces
-// register on.
-type APIRouteTable = httpapi.Table
-
 // SUIT interoperation (§VIII future work).
-
-// SUITManifest is the SUIT (draft-ietf-suit-manifest) view of an update.
-type SUITManifest = suit.Manifest
 
 // ExportSUIT renders an UpKit manifest as a signed SUIT-shaped CBOR
 // envelope so SUIT-aware tooling can consume UpKit releases.
-func ExportSUIT(m *Manifest, s Suite, key *PrivateKey) ([]byte, error) {
+func ExportSUIT(m *manifest.Manifest, s security.Suite, key *security.PrivateKey) ([]byte, error) {
 	return suit.Export(m, s, key)
 }
 
 // ParseSUIT decodes and signature-verifies a SUIT envelope produced by
 // ExportSUIT.
-func ParseSUIT(envelope []byte, s Suite, pub *PublicKey) (*SUITManifest, error) {
+func ParseSUIT(envelope []byte, s security.Suite, pub *security.PublicKey) (*suit.Manifest, error) {
 	return suit.Parse(envelope, s, pub)
 }
