@@ -21,12 +21,39 @@ import (
 // cover the honest topologies; the poisoned-cache attacks live with the
 // other adversarial tests below (TestAdversary*).
 
-// TestDistributeUpdatesThroughProxy: two devices update through one
+// distBed builds a bed whose pull clients run the content-addressed
+// path through a caching proxy.
+func distBed(t *testing.T, seed string) (*Bed, *proxy.Cache) {
+	t.Helper()
+	b := newBed(t, Options{Approach: platform.Pull, Seed: seed})
+	if err := b.PublishVersion(2, MakeFirmware(seed+"-v2", fwSize)); err != nil {
+		t.Fatal(err)
+	}
+	cache := proxy.NewCache(&coap.Loopback{Handler: b.PullHandler()}, proxy.CacheOptions{})
+	b.Distribute(cache.Handle, BlockRoute{Name: "proxy", Handler: cache.Handle})
+	return b, cache
+}
+
+func TestDistributeUpdatesThroughProxy(t *testing.T) {
+	b, cache := distBed(t, "dist-proxy")
+	res, err := b.PullUpdate()
+	if err != nil {
+		t.Fatalf("PullUpdate through proxy: %v", err)
+	}
+	if res.Version != 2 {
+		t.Fatalf("booted v%d, want v2", res.Version)
+	}
+	if st := cache.Stats(); st.Fills == 0 {
+		t.Fatalf("cache stats = %+v: transfer must have filled the proxy", st)
+	}
+}
+
+// TestDistTopologySavesOriginEgress: two devices update through one
 // caching proxy and a third straight from the origin, all on one
 // update server. The first proxied transfer fills the cache; the second
 // is served from it, so it costs the origin less than half of what the
 // direct device's transfer costs.
-func TestDistributeUpdatesThroughProxy(t *testing.T) {
+func TestDistTopologySavesOriginEgress(t *testing.T) {
 	suite, err := security.SuiteByName("tinycrypt", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -135,6 +135,10 @@ type patchCache struct {
 	// reclaims.
 	disk *PatchStore
 
+	// compute derives a patch on a miss; it is computePatch outside of
+	// tests, which swap it to hold a computation in flight.
+	compute func(base, target []byte) patchResult
+
 	hits, misses, waits, computations, evictions, invalidations, diskHits, diskMisses uint64
 }
 
@@ -145,6 +149,7 @@ func newPatchCache(maxBytes int, disk *PatchStore) *patchCache {
 	return &patchCache{
 		maxBytes: maxBytes,
 		disk:     disk,
+		compute:  computePatch,
 		entries:  make(map[patchKey]*list.Element),
 		lru:      list.New(),
 		inflight: make(map[patchKey]*inflightPatch),
@@ -205,7 +210,7 @@ func (c *patchCache) resolve(key patchKey, baseDig, targetDig security.Digest, b
 		res, fromDisk = disk.Get(key, baseDig, targetDig)
 	}
 	if !fromDisk {
-		res = computePatch(base, target)
+		res = c.compute(base, target)
 	}
 
 	c.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"upkit/internal/dist"
 	"upkit/internal/manifest"
@@ -123,6 +124,17 @@ func TestDisabledCacheKeepsSingleflight(t *testing.T) {
 	s.publish(t, 1, 2, edit)
 
 	const devices = 32
+	// The leader's diff stays in flight until every other device has
+	// joined it, so the herd is a herd however the goroutines are
+	// scheduled.
+	cache := s.update.cache
+	cache.compute = func(base, target []byte) patchResult {
+		deadline := time.Now().Add(10 * time.Second)
+		for cache.stats().Waits < devices-1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return computePatch(base, target)
+	}
 	var start, wg sync.WaitGroup
 	start.Add(1)
 	errs := make(chan error, devices)
