@@ -78,12 +78,10 @@ func TestSessionTableIsBounded(t *testing.T) {
 	var newest []byte
 	for d := 1; d <= sessions; d++ {
 		newest = bytes.Clone(post(uint32(d)).Payload)
-		srv.mu.Lock()
-		retained, entries, listed := srv.retained, len(srv.sessions), srv.lru.Len()
-		srv.mu.Unlock()
-		if retained > maxSessionBytes || entries > fits || entries != listed {
-			t.Fatalf("after %d sessions: %d bytes retained (bound %d) in %d map entries and %d list entries (at most %d fit)",
-				d, retained, maxSessionBytes, entries, listed, fits)
+		st := srv.sessions.Stats()
+		if st.Bytes > maxSessionBytes || st.Entries > fits {
+			t.Fatalf("after %d sessions: %d bytes retained (bound %d) in %d sessions (at most %d fit)",
+				d, st.Bytes, maxSessionBytes, st.Entries, fits)
 		}
 	}
 	if got := firstBlock(1); got != CodeNotFound {
@@ -95,9 +93,7 @@ func TestSessionTableIsBounded(t *testing.T) {
 
 	// Using a session keeps it: touch the oldest survivor, push one
 	// more session in, and it is the second oldest that goes.
-	srv.mu.Lock()
-	oldest := uint32(sessions - len(srv.sessions) + 1)
-	srv.mu.Unlock()
+	oldest := uint32(sessions - srv.sessions.Stats().Entries + 1)
 	if got := firstBlock(oldest); got != CodeContent {
 		t.Fatalf("oldest surviving session %d answered %s", oldest, got)
 	}
@@ -134,14 +130,13 @@ func TestSessionTableConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	sum := 0
-	for e := srv.lru.Front(); e != nil; e = e.Next() {
-		sum += e.Value.(*session).size()
-	}
-	if srv.retained != sum || srv.retained > maxSessionBytes || len(srv.sessions) != srv.lru.Len() {
-		t.Fatalf("retained %d, sessions sum to %d (bound %d); %d map entries, %d list entries",
-			srv.retained, sum, maxSessionBytes, len(srv.sessions), srv.lru.Len())
+	sum, n := 0, 0
+	srv.sessions.Walk(func(_ sessionKey, sess *session) {
+		sum += sess.size()
+		n++
+	})
+	if st := srv.sessions.Stats(); st.Bytes != sum || st.Bytes > maxSessionBytes || st.Entries != n {
+		t.Fatalf("retained %d, sessions sum to %d (bound %d); %d entries, %d walked",
+			st.Bytes, sum, maxSessionBytes, st.Entries, n)
 	}
 }

@@ -1,16 +1,15 @@
 package coap
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"upkit/internal/agent"
 	"upkit/internal/dist"
 	"upkit/internal/events"
+	"upkit/internal/lru"
 	"upkit/internal/manifest"
 	"upkit/internal/telemetry"
 	"upkit/internal/transport"
@@ -64,7 +63,6 @@ type sessionKey struct {
 // a fresh update — with payload encryption a fresh prepare would pick a
 // new IV and the resumed mid-stream decryption would fail verification.
 type session struct {
-	key      sessionKey
 	manifest []byte
 	payload  []byte
 	// name is the payload's content address — what GET /upkit/name
@@ -87,12 +85,10 @@ const maxSessionBytes = 32 << 20
 type PullServer struct {
 	Updates *updateserver.Server
 
-	// The session table: least recently used sessions are evicted once
-	// the retained bytes exceed maxSessionBytes.
-	mu       sync.Mutex
-	sessions map[sessionKey]*list.Element // of *session
-	lru      *list.List                   // front = most recently used
-	retained int
+	// sessions is the session table: least recently used sessions are
+	// evicted once the retained bytes exceed maxSessionBytes, never the
+	// one just added.
+	sessions *lru.Cache[sessionKey, *session]
 
 	// blockSrv serves GET /upkit/blocks from the update server's block
 	// registry; nil (no update server) turns the route into NotFound.
@@ -113,7 +109,7 @@ type PullServer struct {
 // NewPullServer wraps updates, recording CoAP request and block counts
 // on the update server's telemetry registry.
 func NewPullServer(updates *updateserver.Server) *PullServer {
-	s := &PullServer{Updates: updates, sessions: make(map[sessionKey]*list.Element), lru: list.New()}
+	s := &PullServer{Updates: updates, sessions: lru.New[sessionKey, *session](maxSessionBytes, (*session).size)}
 	var reg *telemetry.Registry
 	if updates != nil {
 		reg = updates.Telemetry()
@@ -183,40 +179,6 @@ func (s *PullServer) route(req *Message) *Message {
 	}
 }
 
-// session returns the session for key and marks it most recently used.
-func (s *PullServer) session(key sessionKey) (*session, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.sessions[key]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*session), true
-}
-
-// addSession stores sess as the most recently used session, replacing
-// one with the same key, and evicts from the least recently used end —
-// never sess itself — until the table fits maxSessionBytes again.
-func (s *PullServer) addSession(sess *session) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.sessions[sess.key]; ok {
-		s.removeSessionLocked(old)
-	}
-	s.sessions[sess.key] = s.lru.PushFront(sess)
-	s.retained += sess.size()
-	for s.retained > maxSessionBytes && s.lru.Len() > 1 {
-		s.removeSessionLocked(s.lru.Back())
-	}
-}
-
-func (s *PullServer) removeSessionLocked(el *list.Element) {
-	sess := s.lru.Remove(el).(*session)
-	delete(s.sessions, sess.key)
-	s.retained -= sess.size()
-}
-
 func parseHexQuery(req *Message, key string) (uint32, bool) {
 	raw, ok := req.query(key)
 	if !ok {
@@ -255,14 +217,14 @@ func (s *PullServer) handleRequest(req *Message) *Message {
 	key := sessionKey{tok.DeviceID, tok.Nonce}
 	// Idempotent per (device, nonce): a repeated POST with the same token
 	// replays the stored session instead of preparing a new one.
-	if sess, ok := s.session(key); ok {
+	if sess, ok := s.sessions.Get(key); ok {
 		return &Message{Type: Acknowledgement, Code: CodeContent, Payload: sess.manifest}
 	}
 	u, err := s.Updates.PrepareUpdate(appID, tok)
 	if err != nil {
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}
 	}
-	s.addSession(&session{key: key, manifest: u.ManifestBytes, payload: u.Payload, name: u.PayloadName})
+	s.sessions.Add(key, &session{manifest: u.ManifestBytes, payload: u.Payload, name: u.PayloadName})
 	return &Message{Type: Acknowledgement, Code: CodeContent, Payload: u.ManifestBytes}
 }
 
@@ -289,7 +251,7 @@ func (s *PullServer) handleName(req *Message) *Message {
 	if !ok1 || !ok2 {
 		return &Message{Type: Acknowledgement, Code: CodeBadReq}
 	}
-	sess, ok := s.session(sessionKey{deviceID, nonce})
+	sess, ok := s.sessions.Get(sessionKey{deviceID, nonce})
 	if !ok {
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}
 	}
@@ -305,7 +267,7 @@ func (s *PullServer) handleImage(req *Message) *Message {
 	if !ok1 || !ok2 {
 		return &Message{Type: Acknowledgement, Code: CodeBadReq}
 	}
-	sess, ok := s.session(sessionKey{deviceID, nonce})
+	sess, ok := s.sessions.Get(sessionKey{deviceID, nonce})
 	if !ok {
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}
 	}

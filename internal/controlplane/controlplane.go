@@ -15,10 +15,9 @@
 //     one with exactly-once re-dispatch — the checkpoint's shard
 //     cursors are exact completed prefixes, and the deterministic
 //     census rebuilds an identical fleet to apply them to.
-//   - Per-device attempt history in a CRC-framed append-only log
-//     (same framing discipline as the release store and the device's
-//     reception journal): a crash tears at most the final record, and
-//     a torn tail fails its CRC instead of corrupting replay.
+//   - Per-device attempt history in a framelog.Log, the release
+//     store's append-only log: a crash tears at most the final record,
+//     and a torn tail fails its CRC instead of corrupting replay.
 //   - A census registry. A census names a device source ("sim" is
 //     built in, backed by internal/simdev) plus its parameters; the
 //     source must be deterministic so resume-after-restart sees the
@@ -39,6 +38,7 @@ import (
 	"time"
 
 	"upkit/internal/fleet"
+	"upkit/internal/framelog"
 	"upkit/internal/simdev"
 )
 
@@ -620,7 +620,10 @@ func (c *campaign) run(ctx context.Context, fc *fleet.Campaign, done chan struct
 	}
 	// History first: the meta's state must never claim more than the
 	// durable log holds.
-	c.hist.sync()
+	if err := c.hist.sync(); err != nil {
+		c.meta.State = StateFailed
+		c.meta.AbortReason = "history: " + err.Error()
+	}
 	if err := c.persistLocked(); err != nil {
 		c.meta.State = StateFailed
 		c.meta.AbortReason = "persist: " + err.Error()
@@ -668,9 +671,9 @@ func progressFromCheckpoint(target uint16, cp *fleet.Checkpoint) fleet.Progress 
 	}
 }
 
-// persistLocked writes the campaign's meta JSON atomically (temp file,
-// fsync, rename, fsync directory); c.mu must be held. Memory-only
-// managers skip the disk.
+// persistLocked writes the campaign's meta JSON atomically
+// (framelog.WriteFile); c.mu must be held. Memory-only managers skip
+// the disk.
 func (c *campaign) persistLocked() error {
 	c.meta.UpdatedUnix = time.Now().Unix()
 	if c.m.cfg.Dir == "" {
@@ -680,43 +683,5 @@ func (c *campaign) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(c.m.cfg.Dir, metaName(c.meta.ID))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(c.m.cfg.Dir)
-}
-
-// syncDir fsyncs a directory so renames and creations in it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return framelog.WriteFile(filepath.Join(c.m.cfg.Dir, metaName(c.meta.ID)), blob)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"upkit/internal/fleet"
+	"upkit/internal/framelog"
 	"upkit/internal/httpapi"
 	"upkit/internal/simdev"
 )
@@ -387,5 +388,78 @@ func TestHistoryTornTailTolerated(t *testing.T) {
 	defer h3.close()
 	if three, _ := h3.device(3); len(three) != 1 {
 		t.Fatalf("post-truncate append lost: %+v", three)
+	}
+}
+
+// TestHistorySyncFailureFailsCampaign: when the history cannot be made
+// durable at the end of a run, the campaign fails with the reason
+// rather than persisting a checkpoint that claims records the log may
+// not hold.
+func TestHistorySyncFailureFailsCampaign(t *testing.T) {
+	injected := errors.New("injected sync failure")
+	syncLog = func(*framelog.Log) error { return injected }
+	t.Cleanup(func() { syncLog = (*framelog.Log).Sync })
+	dir := t.TempDir()
+	m, err := NewManager(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Create(simCreate(50, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st.State == StateRunning && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		if st, err = m.Get(st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "history: " + injected.Error()
+	if st.State != StateFailed || st.AbortReason != want {
+		t.Fatalf("state %s (%q), want %s (%q)", st.State, st.AbortReason, StateFailed, want)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewManager(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st, err := re.Get(st.ID); err != nil || st.State != StateFailed || st.AbortReason != want {
+		t.Fatalf("after restart: %+v, %v", st, err)
+	}
+}
+
+// TestLegacyHistoryReplays replays a history log written by the
+// implementation before it moved onto framelog, ending in a torn tail.
+func TestLegacyHistoryReplays(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "c-000001.hist"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c-000001.hist")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h, err := openHistory(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.close()
+	one, _ := h.device(1)
+	if len(one) != 2 || one[0].Status != "failed" || one[0].Error != "link lost" || one[0].Attempts != 2 ||
+		one[1].Status != "updated" || one[1].Version != 2 {
+		t.Fatalf("device 1 = %+v", one)
+	}
+	if two, _ := h.device(2); len(two) != 1 || two[0].Status != "updated" {
+		t.Fatalf("device 2 = %+v", two)
+	}
+	if three, _ := h.device(3); len(three) != 0 {
+		t.Fatalf("the torn record replayed: %+v", three)
+	}
+	if fi, _ := os.Stat(path); fi.Size() >= int64(len(data)) {
+		t.Fatalf("torn tail not truncated: %d of %d bytes", fi.Size(), len(data))
 	}
 }

@@ -1,49 +1,34 @@
 package controlplane
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sync"
 	"time"
 
 	"upkit/internal/fleet"
+	"upkit/internal/framelog"
 )
 
 // history is one campaign's per-device attempt record: an in-memory
 // index answering GET .../devices/{id}, backed (when the manager is
-// durable) by a CRC-framed append-only log so the history survives a
-// process restart.
-//
-// On-disk format, a sequence of records in completion order
-// (big endian):
-//
-//	magic "UPCH" | len uint32 | payload (len bytes) | crc32
-//
-// where payload is one Attempt as JSON and the CRC covers magic,
-// length, and payload — the same framing discipline as the release
-// store (internal/updateserver/filestore.go) and the device's
-// reception journal, for the same reason: a crash tears at most the
-// record being written, and a torn record fails its CRC instead of
-// corrupting replay.
+// durable) by a framelog.Log so the history survives a process
+// restart. Its records carry magic "UPCH" and one Attempt as JSON, in
+// completion order; replay truncates a torn tail.
 //
 // Unlike the release store, appends are buffered: a campaign emits one
 // record per device attempt and an fsync per record would gate the
-// scheduler on the disk. The log is flushed and fsynced at every
-// lifecycle edge that persists a checkpoint (pause, abort, completion,
-// close), so the durable history is always at least as complete as the
-// checkpoint that references it — a crash between edges loses only
-// records the checkpoint doesn't claim either.
+// scheduler on the disk. The log is synced at every lifecycle edge that
+// persists a checkpoint (pause, abort, completion, close), and a failed
+// sync fails the campaign instead of persisting a checkpoint that
+// claims records the log may not hold — so the durable history is
+// always at least as complete as the checkpoint that references it.
 type history struct {
 	mu sync.Mutex
 	// byDev is the replayable index; nil when history is disabled for
 	// the fleet size.
 	byDev map[uint32][]Attempt
-	f     *os.File // nil when memory-only or disabled
-	buf   []byte   // pending encoded records
+	log   *framelog.Log // nil when memory-only or disabled
 }
 
 // Attempt is one terminal device outcome within a campaign run.
@@ -61,20 +46,15 @@ type Attempt struct {
 	Unix int64 `json:"unix"`
 }
 
-const (
-	histRecMagic  uint32 = 0x55504348 // "UPCH"
-	histRecHeader        = 4 + 4
-	// histMaxRecord bounds a record during replay: anything larger is
-	// corruption, not an allocation request.
-	histMaxRecord = 1 << 20
-	// histFlushBytes caps the append buffer between lifecycle syncs.
-	histFlushBytes = 256 << 10
-)
+const histRecMagic uint32 = 0x55504348 // "UPCH"
+
+// syncLog makes a history log durable; tests swap it to inject a
+// failure.
+var syncLog = (*framelog.Log).Sync
 
 // openHistory opens (or creates) a campaign's history. path=="" keeps
 // it memory-only; enabled==false disables it entirely (fleets past the
-// manager's history bound). Replay tolerates a torn tail record by
-// truncating the log to its longest valid prefix.
+// manager's history bound).
 func openHistory(path string, enabled bool) (*history, error) {
 	h := &history{}
 	if !enabled {
@@ -84,85 +64,19 @@ func openHistory(path string, enabled bool) (*history, error) {
 	if path == "" {
 		return h, nil
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: history log: %w", err)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("controlplane: history log: %w", err)
-	}
-	valid := 0
-	for valid < len(data) {
-		a, n, ok := decodeAttempt(data[valid:])
-		if !ok {
-			break
+	log, _, err := framelog.Open(path, histRecMagic, func(p []byte, _ framelog.Frame) bool {
+		var a Attempt
+		if json.Unmarshal(p, &a) != nil {
+			return false
 		}
 		h.byDev[a.Device] = append(h.byDev[a.Device], a)
-		valid += n
-	}
-	if valid < len(data) {
-		// Torn tail (or trailing garbage): truncate so the log is a
-		// clean record sequence and future appends stay parseable.
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	h.f = f
-	return h, nil
-}
-
-// encodeAttempt frames one attempt as a log record.
-func encodeAttempt(a Attempt) ([]byte, error) {
-	payload, err := json.Marshal(a)
+		return true
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("controlplane: history log: %w", err)
 	}
-	rec := make([]byte, 0, histRecHeader+len(payload)+4)
-	rec = binary.BigEndian.AppendUint32(rec, histRecMagic)
-	rec = binary.BigEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-	return rec, nil
-}
-
-// decodeAttempt parses the record starting at buf, returning ok=false
-// when the record is incomplete or fails its CRC — at the tail of a
-// log, the signature of a write torn by a crash.
-func decodeAttempt(buf []byte) (Attempt, int, bool) {
-	var a Attempt
-	if len(buf) < histRecHeader {
-		return a, 0, false
-	}
-	if binary.BigEndian.Uint32(buf) != histRecMagic {
-		return a, 0, false
-	}
-	n := int(binary.BigEndian.Uint32(buf[4:]))
-	if n <= 0 || n > histMaxRecord {
-		return a, 0, false
-	}
-	total := histRecHeader + n + 4
-	if len(buf) < total {
-		return a, 0, false
-	}
-	body := buf[:histRecHeader+n]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(buf[histRecHeader+n:]) {
-		return a, 0, false
-	}
-	if err := json.Unmarshal(body[histRecHeader:], &a); err != nil {
-		return a, 0, false
-	}
-	return a, total, true
+	h.log = log
+	return h, nil
 }
 
 // record is the fleet.Policy.OnResult hook: index the outcome and
@@ -184,41 +98,23 @@ func (h *history) record(res fleet.Result) {
 		a.Error = res.Err.Error()
 	}
 	h.byDev[a.Device] = append(h.byDev[a.Device], a)
-	if h.f == nil {
+	if h.log == nil {
 		return
 	}
-	rec, err := encodeAttempt(a)
-	if err != nil {
-		return
-	}
-	h.buf = append(h.buf, rec...)
-	if len(h.buf) >= histFlushBytes {
-		h.flushLocked(false)
-	}
-}
-
-// flushLocked appends the staged records, optionally fsyncing; h.mu
-// must be held.
-func (h *history) flushLocked(sync bool) {
-	if h.f == nil {
-		return
-	}
-	if len(h.buf) > 0 {
-		if _, err := h.f.Write(h.buf); err == nil {
-			h.buf = h.buf[:0]
-		}
-	}
-	if sync {
-		_ = h.f.Sync()
+	if p, err := json.Marshal(a); err == nil {
+		h.log.Buffer(p)
 	}
 }
 
 // sync makes the history durable up to every recorded attempt; called
 // at the lifecycle edges that persist a checkpoint.
-func (h *history) sync() {
+func (h *history) sync() error {
 	h.mu.Lock()
-	h.flushLocked(true)
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	if h.log == nil {
+		return nil
+	}
+	return syncLog(h.log)
 }
 
 // device reports one device's attempts, oldest first.
@@ -234,15 +130,14 @@ func (h *history) device(dev uint32) ([]Attempt, error) {
 	return out, nil
 }
 
-// close flushes and releases the log handle.
+// close syncs and releases the log handle.
 func (h *history) close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked(true)
-	if h.f == nil {
+	if h.log == nil {
 		return nil
 	}
-	err := h.f.Close()
-	h.f = nil
+	err := h.log.Close()
+	h.log = nil
 	return err
 }

@@ -1,20 +1,21 @@
 package dist
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
+	"sync/atomic"
+
+	"upkit/internal/lru"
 )
 
 // The proxy-tier block cache.
 //
 // A caching proxy sits between a fleet and the origin: every device in
 // a wave asks for the same named blocks, so the cache fetches each
-// block from upstream once and serves the rest from memory. The
-// discipline mirrors the update server's patch cache (PR 1): LRU by
-// bytes, and a singleflight table so concurrent first requests for a
-// cold block trigger exactly one upstream fetch while the rest wait on
-// its result — a 1k-device wave costs one origin fetch per block.
+// block from upstream once and serves the rest from memory. It is an
+// lru.Cache, like the update server's patch cache: LRU by bytes, and
+// singleflight so concurrent first requests for a cold block trigger
+// exactly one upstream fetch while the rest wait on its result — a
+// 1k-device wave costs one origin fetch per block.
 //
 // Internally the cache stores canonical chunks of ChunkBytes (1024 by
 // default, the largest Block2 size) and carves requested blocks out of
@@ -67,20 +68,6 @@ type chunk struct {
 
 func (c chunk) size() int { return len(c.data) + chunkOverhead }
 
-// inflightChunk is one in-progress upstream fetch other requests wait
-// on. res and err are written exactly once, before done is closed.
-type inflightChunk struct {
-	done chan struct{}
-	res  chunk
-	err  error
-}
-
-// cacheElem is one LRU element.
-type cacheElem struct {
-	key chunkKey
-	res chunk
-}
-
 // CachingSource is a Source that serves blocks from an LRU-by-bytes
 // chunk cache, filling from upstream on miss with singleflight dedup.
 // It is safe for concurrent use; upstream fetches run outside the
@@ -88,15 +75,11 @@ type cacheElem struct {
 type CachingSource struct {
 	upstream   Source
 	chunkBytes int
+	chunks     *lru.Cache[chunkKey, chunk]
 
-	mu       sync.Mutex
-	maxBytes int
-	curBytes int
-	entries  map[chunkKey]*list.Element
-	lru      *list.List // front = most recently used
-	inflight map[chunkKey]*inflightChunk
-
-	hits, misses, fills, waits, evictions uint64
+	// bypassed counts requests that skip the cache; fills counts
+	// successful upstream chunk fetches.
+	bypassed, fills atomic.Uint64
 }
 
 // NewCachingSource creates a cache over upstream bounded to maxBytes
@@ -113,10 +96,7 @@ func NewCachingSource(upstream Source, maxBytes, chunkBytes int) *CachingSource 
 	return &CachingSource{
 		upstream:   upstream,
 		chunkBytes: chunkBytes,
-		maxBytes:   maxBytes,
-		entries:    make(map[chunkKey]*list.Element),
-		lru:        list.New(),
-		inflight:   make(map[chunkKey]*inflightChunk),
+		chunks:     lru.New[chunkKey, chunk](maxBytes, chunk.size),
 	}
 }
 
@@ -128,9 +108,7 @@ func (c *CachingSource) Block(name Name, num uint32, size int) ([]byte, bool, er
 		return nil, false, fmt.Errorf("dist: invalid block size %d", size)
 	}
 	if size > c.chunkBytes || c.chunkBytes%size != 0 {
-		c.mu.Lock()
-		c.misses++
-		c.mu.Unlock()
+		c.bypassed.Add(1)
 		return c.upstream.Block(name, num, size)
 	}
 	// The requested block lies entirely within one canonical chunk.
@@ -138,7 +116,14 @@ func (c *CachingSource) Block(name Name, num uint32, size int) ([]byte, bool, er
 	cnum := uint32(start / c.chunkBytes)
 	within := start % c.chunkBytes
 
-	res, err := c.chunk(chunkKey{name: name, num: cnum})
+	// Failed fetches are not cached: the next request retries upstream.
+	res, _, err := c.chunks.Do(chunkKey{name: name, num: cnum}, func() (chunk, error) {
+		data, more, err := c.upstream.Block(name, cnum, c.chunkBytes)
+		if err == nil {
+			c.fills.Add(1)
+		}
+		return chunk{data: data, more: more}, err
+	})
 	if err != nil {
 		return nil, false, err
 	}
@@ -149,84 +134,16 @@ func (c *CachingSource) Block(name Name, num uint32, size int) ([]byte, bool, er
 	return res.data[within:end], res.more || end < len(res.data), nil
 }
 
-// chunk returns the canonical chunk for key, fetching it upstream at
-// most once per distinct key across concurrent callers. Failed fetches
-// are not cached — the next request retries upstream.
-func (c *CachingSource) chunk(key chunkKey) (chunk, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.lru.MoveToFront(el)
-		res := el.Value.(*cacheElem).res
-		c.mu.Unlock()
-		return res, nil
-	}
-	if fl, ok := c.inflight[key]; ok {
-		c.waits++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.res, fl.err
-	}
-	c.misses++
-	fl := &inflightChunk{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.mu.Unlock()
-
-	data, more, err := c.upstream.Block(key.name, key.num, c.chunkBytes)
-
-	c.mu.Lock()
-	fl.res = chunk{data: data, more: more}
-	fl.err = err
-	delete(c.inflight, key)
-	if err == nil {
-		c.fills++
-		c.insertLocked(key, fl.res)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.res, fl.err
-}
-
-// insertLocked stores res under key, evicting from the cold end until
-// the size bound holds. Chunks larger than the whole bound are not
-// cached at all.
-func (c *CachingSource) insertLocked(key chunkKey, res chunk) {
-	if res.size() > c.maxBytes {
-		return
-	}
-	if el, ok := c.entries[key]; ok { // raced a concurrent insert; stay idempotent
-		c.removeLocked(el)
-	}
-	for c.curBytes+res.size() > c.maxBytes {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evictions++
-	}
-	c.entries[key] = c.lru.PushFront(&cacheElem{key: key, res: res})
-	c.curBytes += res.size()
-}
-
-// removeLocked drops one LRU element.
-func (c *CachingSource) removeLocked(el *list.Element) {
-	e := c.lru.Remove(el).(*cacheElem)
-	delete(c.entries, e.key)
-	c.curBytes -= e.res.size()
-}
-
 // Stats snapshots the cache's counters.
 func (c *CachingSource) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.chunks.Stats()
 	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Fills:     c.fills,
-		Waits:     c.waits,
-		Evictions: c.evictions,
-		Entries:   c.lru.Len(),
-		Bytes:     c.curBytes,
+		Hits:      st.Hits,
+		Misses:    st.Misses + c.bypassed.Load(),
+		Fills:     c.fills.Load(),
+		Waits:     st.Waits,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Bytes:     st.Bytes,
 	}
 }

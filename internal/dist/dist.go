@@ -22,12 +22,14 @@
 package dist
 
 import (
-	"container/list"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
+
+	"upkit/internal/lru"
 )
 
 // NameSize is the size of a block name in bytes (SHA-256).
@@ -115,22 +117,11 @@ const DefaultRegistryBytes = 16 << 20
 //
 // Registry is safe for concurrent use and implements Source.
 type Registry struct {
-	mu       sync.Mutex
-	maxBytes int
-	curBytes int
-	entries  map[Name]*list.Element
-	lru      *list.List // front = most recently used
-
-	puts, hits, misses, evictions uint64
+	// payloads counts Block lookups as its hits and misses; Put and
+	// Payload look up uncounted.
+	payloads *lru.Cache[Name, []byte]
+	puts     atomic.Uint64
 }
-
-// regEntry is one stored payload.
-type regEntry struct {
-	name    Name
-	payload []byte
-}
-
-func (e *regEntry) size() int { return len(e.payload) + registryOverhead }
 
 // NewRegistry creates a registry bounded to maxBytes (<= 0 selects
 // DefaultRegistryBytes).
@@ -138,11 +129,8 @@ func NewRegistry(maxBytes int) *Registry {
 	if maxBytes <= 0 {
 		maxBytes = DefaultRegistryBytes
 	}
-	return &Registry{
-		maxBytes: maxBytes,
-		entries:  make(map[Name]*list.Element),
-		lru:      list.New(),
-	}
+	size := func(p []byte) int { return len(p) + registryOverhead }
+	return &Registry{payloads: lru.New[Name, []byte](maxBytes, size)}
 }
 
 // Put stores payload under its content address and returns the name.
@@ -150,63 +138,26 @@ func NewRegistry(maxBytes int) *Registry {
 // only refreshes the entry's LRU position.
 func (r *Registry) Put(payload []byte) Name {
 	name := NameOf(payload)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.puts++
-	if el, ok := r.entries[name]; ok {
-		r.lru.MoveToFront(el)
-		return name
+	r.puts.Add(1)
+	if _, ok := r.payloads.Touch(name); !ok {
+		r.payloads.Add(name, bytes.Clone(payload))
 	}
-	e := &regEntry{name: name, payload: append([]byte(nil), payload...)}
-	for r.curBytes+e.size() > r.maxBytes {
-		back := r.lru.Back()
-		if back == nil {
-			break // keep the newcomer even if it alone busts the bound
-		}
-		r.removeLocked(back)
-		r.evictions++
-	}
-	r.entries[name] = r.lru.PushFront(e)
-	r.curBytes += e.size()
 	return name
-}
-
-// removeLocked drops one LRU element.
-func (r *Registry) removeLocked(el *list.Element) {
-	e := r.lru.Remove(el).(*regEntry)
-	delete(r.entries, e.name)
-	r.curBytes -= e.size()
 }
 
 // Payload returns the stored bytes for name, or ok=false. Callers must
 // not mutate the result.
-func (r *Registry) Payload(name Name) ([]byte, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	el, ok := r.entries[name]
-	if !ok {
-		return nil, false
-	}
-	r.lru.MoveToFront(el)
-	return el.Value.(*regEntry).payload, true
-}
+func (r *Registry) Payload(name Name) ([]byte, bool) { return r.payloads.Touch(name) }
 
 // Block implements Source over the stored payloads.
 func (r *Registry) Block(name Name, num uint32, size int) ([]byte, bool, error) {
 	if size <= 0 {
 		return nil, false, fmt.Errorf("dist: invalid block size %d", size)
 	}
-	r.mu.Lock()
-	el, ok := r.entries[name]
+	payload, ok := r.payloads.Get(name)
 	if !ok {
-		r.misses++
-		r.mu.Unlock()
 		return nil, false, ErrUnknownName
 	}
-	r.hits++
-	r.lru.MoveToFront(el)
-	payload := el.Value.(*regEntry).payload
-	r.mu.Unlock()
 	return sliceBlock(payload, num, size)
 }
 
@@ -235,14 +186,13 @@ type RegistryStats struct {
 
 // Stats snapshots the registry's counters.
 func (r *Registry) Stats() RegistryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	st := r.payloads.Stats()
 	return RegistryStats{
-		Puts:      r.puts,
-		Hits:      r.hits,
-		Misses:    r.misses,
-		Evictions: r.evictions,
-		Entries:   r.lru.Len(),
-		Bytes:     r.curBytes,
+		Puts:      r.puts.Load(),
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Bytes:     st.Bytes,
 	}
 }

@@ -3,7 +3,8 @@ package flash
 import (
 	"fmt"
 	"os"
-	"path/filepath"
+
+	"upkit/internal/framelog"
 )
 
 // The paper's memory interface "allows assigning a Linux file to each
@@ -40,32 +41,11 @@ func LoadFromFile(path string, geo Geometry) (*Memory, error) {
 // can be stopped and resumed — and so host-side tools can inspect slots
 // with standard binary utilities.
 //
-// The dump is written to a temporary sibling and renamed into place:
-// a crash mid-save must leave the previous dump intact, never a
-// truncated chip image that a later LoadFromFile would silently pad
-// with erased flash.
+// The dump replaces path atomically (framelog.WriteFile): a crash
+// mid-save must leave the previous dump intact, never a truncated chip
+// image that a later LoadFromFile would silently pad with erased flash.
 func (m *Memory) SaveToFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("flash: save %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(m.Snapshot()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("flash: save %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("flash: save %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("flash: save %s: %w", path, err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return fmt.Errorf("flash: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := framelog.WriteFile(path, m.Snapshot()); err != nil {
 		return fmt.Errorf("flash: save %s: %w", path, err)
 	}
 	return nil

@@ -1,12 +1,13 @@
 package updateserver
 
 import (
-	"container/list"
-	"sync"
+	"sync/atomic"
 
 	"upkit/internal/bsdiff"
+	"upkit/internal/lru"
 	"upkit/internal/lzss"
 	"upkit/internal/security"
+	"upkit/internal/vendorserver"
 )
 
 // The differential-patch cache.
@@ -14,22 +15,21 @@ import (
 // Deriving a differential payload (bsdiff + LZSS, §III-B) is by far the
 // most expensive thing the update server does per request, and it is
 // also the only per-request work that does not depend on the requesting
-// device: the patch for a given (app, fromVersion, toVersion) pair is
-// identical for every device on that pair. During a campaign — one new
+// device: the patch between two releases is identical for every device
+// on that pair. During a campaign — one new
 // release, a whole fleet on the previous one — the naive path recomputes
-// the same patch once per device. The cache below computes it once,
-// serves every later request from memory, and deduplicates concurrent
-// first requests with a singleflight scheme so a thundering herd on a
-// cold pair triggers exactly one computation while the rest block on
-// its result (never on the server mutex; diffing runs outside all
-// locks).
+// the same patch once per device. The cache below is an lru.Cache: it
+// computes each patch once, serves every later request from memory, and
+// deduplicates concurrent first requests so a thundering herd on a cold
+// pair triggers exactly one computation while the rest wait for its
+// result (diffing runs outside all locks).
 //
-// Invalidation is generation-based per app: Publish and retention
-// pruning bump the app's generation and drop its entries, and an
-// in-flight computation only inserts its result if the generation it
-// started under is still current. A computation that raced an
-// invalidation still returns a correct patch to its waiters (the key
-// pins the exact version pair), it just is not memoised.
+// Entries are keyed by the two firmware digests, like the durable tier:
+// a patch is a pure function of the bytes it was computed from, so no
+// entry can go stale, and a computation in flight across a Publish is
+// memoised like any other. Publish still removes the entries that target
+// the superseded latest version, because nothing will ask for them
+// again and they would otherwise hold memory until evicted.
 
 // DefaultPatchCacheBytes is the patch-cache bound of a freshly
 // constructed Server: a few MB, sized for a handful of hot version
@@ -57,8 +57,8 @@ type CacheStats struct {
 	Computations uint64 `json:"computations"`
 	// Evictions counts entries dropped by the LRU size bound.
 	Evictions uint64 `json:"evictions"`
-	// Invalidations counts entries dropped by Publish or retention
-	// pruning.
+	// Invalidations counts entries dropped by Publish: the patches to
+	// the latest version it superseded, pruned bases included.
 	Invalidations uint64 `json:"invalidations"`
 	// DiskHits counts cold in-memory lookups answered by the durable
 	// patch store without a recomputation; DiskMisses counts the ones
@@ -70,7 +70,8 @@ type CacheStats struct {
 	Bytes   int `json:"bytes"`
 }
 
-// patchKey identifies one differential payload.
+// patchKey names one differential payload by app and version pair: the
+// durable tier's record key.
 type patchKey struct {
 	appID uint32
 	from  uint16
@@ -86,218 +87,121 @@ type patchResult struct {
 	viable bool
 }
 
-func (r patchResult) size() int { return len(r.patch) + cacheEntryOverhead }
+// size charges the patch's capacity, which is what an entry retains.
+func (r patchResult) size() int { return cap(r.patch) + cacheEntryOverhead }
 
 // computePatch derives the LZSS-compressed bsdiff patch from base to
 // target. A patch at least as large as the target image is
-// counterproductive and reported as non-viable.
+// counterproductive and reported as non-viable. The patch is an
+// exact-length copy: the encoder's buffer is sized for the worst case,
+// several times a typical patch.
 func computePatch(base, target []byte) patchResult {
 	patch := lzss.Encode(bsdiff.Diff(base, target))
 	if len(patch) >= len(target) {
 		return patchResult{}
 	}
-	return patchResult{patch: patch, viable: true}
+	return patchResult{patch: exactCopy(patch), viable: true}
 }
 
-// inflightPatch is one in-progress computation other requests can wait
-// on. res is written exactly once, before done is closed.
-type inflightPatch struct {
-	done chan struct{}
-	res  patchResult
+// exactCopy copies b into a slice whose capacity is its length.
+func exactCopy(b []byte) []byte {
+	c := make([]byte, len(b))
+	copy(c, b)
+	return c
 }
 
-// cacheEntry is one LRU element.
-type cacheEntry struct {
-	key patchKey
-	res patchResult
-}
+// digestPair keys the memory tier: the base and target firmware digests.
+type digestPair struct{ base, target security.Digest }
 
-// patchCache is the size-bounded LRU + singleflight store. It has its
-// own mutex, never held while diffing, and independent of Server.mu.
+// patchCache is the memory tier over the optional durable one.
 type patchCache struct {
-	mu       sync.Mutex
-	maxBytes int
-	curBytes int
-	entries  map[patchKey]*list.Element
-	lru      *list.List // front = most recently used
-	inflight map[patchKey]*inflightPatch
-	gens     map[uint32]uint64 // per-app invalidation generation
+	mem *lru.Cache[digestPair, patchResult]
 
-	// disk, when set, is the durable tier behind the LRU: memory misses
-	// probe it before diffing, and fresh computations are persisted to
-	// it, so warm patches survive a server restart. Records are pinned
-	// to the firmware digests they were computed from, so the disk tier
-	// needs no generation bookkeeping — a stale record simply fails its
-	// digest check. Publish-time invalidation deliberately leaves the
-	// disk tier alone: a restarted server republishing the same images
-	// must find its warm set intact, and records for superseded version
-	// pairs are unreachable garbage that the store's size bound
-	// reclaims.
+	// disk, when set, is the durable tier behind the memory one: memory
+	// misses probe it before diffing, and fresh computations are
+	// persisted to it, so warm patches survive a server restart. Its
+	// records are pinned to the same digests. Publish leaves it alone: a
+	// restarted server republishing the same images must find its warm
+	// set intact, and records for superseded pairs are garbage its own
+	// bound reclaims.
 	disk *PatchStore
 
 	// compute derives a patch on a miss; it is computePatch outside of
 	// tests, which swap it to hold a computation in flight.
 	compute func(base, target []byte) patchResult
 
-	hits, misses, waits, computations, evictions, invalidations, diskHits, diskMisses uint64
+	computations, invalidations, diskHits, diskMisses atomic.Uint64
 }
 
-// newPatchCache bounds the LRU to maxBytes (<= 0 disables memoisation
-// but keeps singleflight dedup) with disk, when non-nil, as its durable
-// tier.
+// newPatchCache bounds the memory tier to maxBytes (<= 0 disables
+// memoisation but keeps singleflight dedup) with disk, when non-nil, as
+// its durable tier.
 func newPatchCache(maxBytes int, disk *PatchStore) *patchCache {
 	return &patchCache{
-		maxBytes: maxBytes,
-		disk:     disk,
-		compute:  computePatch,
-		entries:  make(map[patchKey]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[patchKey]*inflightPatch),
-		gens:     make(map[uint32]uint64),
+		mem:     lru.New[digestPair, patchResult](maxBytes, patchResult.size),
+		disk:    disk,
+		compute: computePatch,
 	}
 }
 
-// payload returns the differential payload for key, computing it from
-// (base, target) at most once per distinct key across concurrent
-// callers. baseDig and targetDig are the firmware digests the durable
-// tier pins its records to. Callers must not mutate the returned patch
-// — clone before handing it out.
-func (c *patchCache) payload(key patchKey, baseDig, targetDig security.Digest, base, target []byte) patchResult {
-	res, _ := c.resolve(key, baseDig, targetDig, base, target)
-	return res
-}
-
-// warm is payload for the patch farm: it additionally reports whether
-// the result was already resident in the memory tier, so the farm can
-// tell precomputation work from no-ops.
-func (c *patchCache) warm(key patchKey, baseDig, targetDig security.Digest, base, target []byte) (patchResult, bool) {
-	return c.resolve(key, baseDig, targetDig, base, target)
-}
-
-// resolve is the cache's single lookup-or-compute path: memory LRU,
-// then singleflight, then the durable tier, then bsdiff+LZSS. The
-// singleflight dedup runs even with the memory cache disabled
-// (maxBytes <= 0): a thundering herd on one cold pair must cost one
-// diff, not N — disabling *retention* must not disable *dedup*. The
-// disabled path only skips memoisation.
-func (c *patchCache) resolve(key patchKey, baseDig, targetDig security.Digest, base, target []byte) (patchResult, bool) {
-	c.mu.Lock()
-	if c.maxBytes > 0 {
-		if el, ok := c.entries[key]; ok {
-			c.hits++
-			c.lru.MoveToFront(el)
-			res := el.Value.(*cacheEntry).res
-			c.mu.Unlock()
-			return res, true
+// resolve returns the differential payload from base to target, whose
+// digests are baseDig and targetDig, computing it at most once across
+// concurrent callers: memory tier, then the durable tier under key,
+// then bsdiff+LZSS. resident reports that the memory tier already held
+// it, which tells the patch farm a no-op from work. Callers must not
+// mutate the returned patch — clone before handing it out.
+func (c *patchCache) resolve(key patchKey, baseDig, targetDig security.Digest, base, target []byte) (res patchResult, resident bool) {
+	computed := false
+	res, resident, _ = c.mem.Do(digestPair{baseDig, targetDig}, func() (patchResult, error) {
+		if c.disk != nil {
+			if res, ok := c.disk.Get(key, baseDig, targetDig); ok {
+				c.diskHits.Add(1)
+				return res, nil
+			}
+			c.diskMisses.Add(1)
 		}
-	}
-	if fl, ok := c.inflight[key]; ok {
-		c.waits++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.res, false
-	}
-	c.misses++
-	gen := c.gens[key.appID]
-	disk := c.disk
-	fl := &inflightPatch{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.mu.Unlock()
-
-	var res patchResult
-	fromDisk := false
-	if disk != nil {
-		res, fromDisk = disk.Get(key, baseDig, targetDig)
-	}
-	if !fromDisk {
-		res = c.compute(base, target)
-	}
-
-	c.mu.Lock()
-	if fromDisk {
-		c.diskHits++
-	} else {
-		c.computations++
-		if disk != nil {
-			c.diskMisses++
-		}
-	}
-	fl.res = res
-	delete(c.inflight, key)
-	if c.maxBytes > 0 && c.gens[key.appID] == gen {
-		c.insertLocked(key, res)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	if !fromDisk && disk != nil {
+		res := c.compute(base, target)
+		c.computations.Add(1)
+		computed = true
+		return res, nil
+	})
+	if computed && c.disk != nil {
 		// Persist after the waiters are released: disk latency must not
 		// extend the herd's wait. A failed append only costs durability
 		// of this one patch.
-		_ = disk.Put(key, baseDig, targetDig, res)
+		_ = c.disk.Put(key, baseDig, targetDig, res)
 	}
-	return res, false
+	return res, resident
 }
 
-// insertLocked stores res under key and evicts from the cold end until
-// the size bound holds. Entries larger than the whole bound are not
-// cached at all.
-func (c *patchCache) insertLocked(key patchKey, res patchResult) {
-	if res.size() > c.maxBytes {
+// dropSuperseded removes the cached patches from every earlier release
+// of an app to its latest one, given the app's releases oldest first:
+// once a Publish supersedes that latest, nothing asks for them again.
+func (c *patchCache) dropSuperseded(releases []*vendorserver.Image) {
+	if len(releases) == 0 {
 		return
 	}
-	if el, ok := c.entries[key]; ok { // lost no race, but be idempotent
-		c.removeLocked(el)
-	}
-	for c.curBytes+res.size() > c.maxBytes {
-		back := c.lru.Back()
-		if back == nil {
-			break
+	target := releases[len(releases)-1].Manifest.FirmwareDigest
+	for _, b := range releases[:len(releases)-1] {
+		if c.mem.Remove(digestPair{b.Manifest.FirmwareDigest, target}) {
+			c.invalidations.Add(1)
 		}
-		c.removeLocked(back)
-		c.evictions++
-	}
-	el := c.lru.PushFront(&cacheEntry{key: key, res: res})
-	c.entries[key] = el
-	c.curBytes += res.size()
-}
-
-// removeLocked drops one LRU element.
-func (c *patchCache) removeLocked(el *list.Element) {
-	e := c.lru.Remove(el).(*cacheEntry)
-	delete(c.entries, e.key)
-	c.curBytes -= e.res.size()
-}
-
-// invalidateApp drops every cached patch for app and bumps its
-// generation so racing in-flight computations do not re-insert.
-func (c *patchCache) invalidateApp(appID uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens[appID]++
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*cacheEntry).key.appID == appID {
-			c.removeLocked(el)
-			c.invalidations++
-		}
-		el = next
 	}
 }
 
 // stats snapshots the counters.
 func (c *patchCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.mem.Stats()
 	return CacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Waits:         c.waits,
-		Computations:  c.computations,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		DiskHits:      c.diskHits,
-		DiskMisses:    c.diskMisses,
-		Entries:       c.lru.Len(),
-		Bytes:         c.curBytes,
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		Waits:         st.Waits,
+		Computations:  c.computations.Load(),
+		Evictions:     st.Evictions,
+		Invalidations: c.invalidations.Load(),
+		DiskHits:      c.diskHits.Load(),
+		DiskMisses:    c.diskMisses.Load(),
+		Entries:       st.Entries,
+		Bytes:         st.Bytes,
 	}
 }

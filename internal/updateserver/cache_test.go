@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"testing"
 
 	"upkit/internal/manifest"
@@ -106,6 +107,99 @@ func TestPublishInvalidatesCachedPatches(t *testing.T) {
 	if st.Invalidations != 1 {
 		t.Fatalf("invalidations = %d, want 1", st.Invalidations)
 	}
+}
+
+// TestInflightDiffSurvivesPublish holds the leader's diff across a
+// Publish: the patch is keyed by the firmware digests it was computed
+// from, so it is memoised when it lands and the next request for the
+// pair hits.
+func TestInflightDiffSurvivesPublish(t *testing.T) {
+	s := newServers(t)
+	v1, v2 := firmwarePair(20 * 1024)
+	s.publish(t, 1, 1, v1)
+	s.publish(t, 1, 2, v2)
+	cache := s.update.cache
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	cache.compute = func(base, target []byte) patchResult {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return computePatch(base, target)
+	}
+	done := make(chan error)
+	go func() {
+		_, err := s.update.PrepareUpdate(1, manifest.DeviceToken{DeviceID: 1, Nonce: 1, CurrentVersion: 1})
+		done <- err
+	}()
+	<-entered
+	v3 := bytes.Clone(v2)
+	copy(v3[100:], []byte("v3 edit"))
+	s.publish(t, 1, 3, v3)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := s.update.WarmPatch(1, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.update.Stats(); !res.AlreadyResident || st.Computations != 1 || st.Hits != 1 {
+		t.Fatalf("second request for v1→v2: resident=%v, stats %+v; want a hit on the one computation", res.AlreadyResident, st)
+	}
+}
+
+// TestCachedPatchesRetainExactLength: a cached patch holds no more
+// memory than it is charged for — computed or read back from the
+// durable tier, its capacity is its length, and Bytes is the sum of
+// what the entries retain.
+func TestCachedPatchesRetainExactLength(t *testing.T) {
+	dir := t.TempDir()
+	base := bytes.Repeat([]byte("exact-length-firmware-"), 2000)
+	images := make([][]byte, 4)
+	for v := range images {
+		images[v] = bytes.Clone(base)
+		copy(images[v][1000*v:], fmt.Sprintf("edit-%d", v))
+	}
+	boot := func() *servers {
+		ps, err := OpenPatchStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ps.Close() })
+		s := newServers(t, WithPatchStore(ps))
+		for v, fw := range images {
+			s.publish(t, 1, uint16(v+1), fw)
+		}
+		for from := uint16(1); from <= 3; from++ {
+			tok := manifest.DeviceToken{DeviceID: uint32(from), Nonce: uint32(from), CurrentVersion: from}
+			if u, err := s.update.PrepareUpdate(1, tok); err != nil || !u.Differential {
+				t.Fatalf("prepare from v%d: %v", from, err)
+			}
+		}
+		return s
+	}
+	check := func(s *servers, tier string) {
+		t.Helper()
+		sum := 0
+		s.update.cache.mem.Walk(func(_ digestPair, r patchResult) {
+			if cap(r.patch) != len(r.patch) {
+				t.Errorf("%s: cached patch of %d bytes retains a %d-byte buffer", tier, len(r.patch), cap(r.patch))
+			}
+			sum += len(r.patch) + cacheEntryOverhead
+		})
+		if st := s.update.Stats(); st.Entries != 3 || st.Bytes != sum {
+			t.Fatalf("%s: stats %+v, entries retain %d bytes", tier, st, sum)
+		}
+	}
+	check(boot(), "computed")
+	restarted := boot()
+	if st := restarted.update.Stats(); st.DiskHits != 3 {
+		t.Fatalf("restart did not read the patches back: %+v", st)
+	}
+	check(restarted, "read back")
 }
 
 func TestCacheRespectsSizeBound(t *testing.T) {

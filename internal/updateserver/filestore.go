@@ -1,11 +1,8 @@
 package updateserver
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -13,40 +10,33 @@ import (
 	"sync"
 	"time"
 
+	"upkit/internal/framelog"
 	"upkit/internal/manifest"
 	"upkit/internal/vendorserver"
 )
 
 // FileStore is the durable ReleaseStore: every app's releases live in
-// an append-only record log under a state directory, so a restarted
-// server serves the identical release set — including the exact bytes
-// a device's reception journal checkpointed against mid-download.
+// a framelog.Log under a state directory, so a restarted server serves
+// the identical release set — including the exact bytes a device's
+// reception journal checkpointed against mid-download.
 //
-// On-disk format, one file per app (`app-<hex appid>.log`), a sequence
-// of CRC-framed records in publish order (big endian):
-//
-//	magic "UPRS" | len uint32 | payload (len bytes) | crc32
-//
-// where payload is the wire-encoded vendor-signed manifest
-// (manifest.EncodedSize bytes) followed by the firmware, and the CRC
-// covers magic, length, and payload — the same framing discipline as
-// the device's reception journal (internal/slot/recjournal.go), for
-// the same reason: a crash can tear at most the record being written,
-// and a torn record fails its CRC instead of corrupting replay.
+// On-disk format, one file per app (`app-<hex appid>.log`) of framelog
+// records with magic "UPRS", in publish order, whose payload is the
+// wire-encoded vendor-signed manifest (manifest.EncodedSize bytes)
+// followed by the firmware.
 //
 // Durability argument:
 //
 //   - Publish appends the record and fsyncs the log before the image
 //     becomes visible to readers, so an acknowledged publish survives
 //     a crash, and a crash mid-append leaves only an invisible torn
-//     tail.
-//   - Startup replay accepts the longest valid record prefix and
-//     truncates the file there, so a torn tail costs exactly the
-//     un-acknowledged publish and the log stays appendable.
-//   - Pruning compacts by writing a fresh log and atomically renaming
-//     it over the old one (fsync file, rename, fsync directory), so
-//     every crash leaves either the complete old log or the complete
-//     new one.
+//     tail, which startup replay truncates.
+//   - Prune drops releases from memory and leaves their records in the
+//     log as dead bytes until framelog's compaction rule rewrites it.
+//     A replay therefore brings pruned releases back, so the server
+//     applies its retention bound once at construction as well as on
+//     every publish: a release pruned before a crash is never served
+//     after it.
 //
 // Reads are served from an embedded sharded MemStore rebuilt at
 // startup, so the request hot path is identical to the in-memory
@@ -66,10 +56,13 @@ type FileStore struct {
 }
 
 // appLog is one app's open record log. Its mutex serializes appends
-// and compactions for that app; different apps write independently.
+// and prunes for that app; different apps write independently.
 type appLog struct {
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	log *framelog.Log
+	// frames locates the app's stored releases in the log, oldest
+	// first, parallel to its MemStore snapshot.
+	frames []framelog.Frame
 }
 
 // FileStore errors.
@@ -77,18 +70,11 @@ var (
 	ErrStoreClosed = errors.New("updateserver: release store is closed")
 )
 
-const (
-	storeRecMagic  uint32 = 0x55505253 // "UPRS"
-	storeRecHeader        = 4 + 4
-	// storeMaxRecord bounds a record's payload during replay: anything
-	// larger is treated as corruption, not an allocation request.
-	storeMaxRecord = 64 << 20
-)
+const storeRecMagic uint32 = 0x55505253 // "UPRS"
 
 // NewFileStore opens (creating if needed) the release store rooted at
-// dir and replays every app log into memory. Replay tolerates a torn
-// tail record — the artifact of a crash mid-publish — by truncating
-// the log to its longest valid prefix.
+// dir and replays every app log into memory, truncating any torn tail
+// — the artifact of a crash mid-publish.
 func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("updateserver: state dir: %w", err)
@@ -108,7 +94,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 		if !ok || e.IsDir() {
 			continue
 		}
-		if err := s.replayLog(appID); err != nil {
+		if err := s.openLog(appID); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("updateserver: replay %s: %w", e.Name(), err)
 		}
@@ -136,102 +122,45 @@ func appIDFromLogName(name string) (uint32, bool) {
 	return uint32(v), true
 }
 
-// encodeRecord frames one image as a log record.
-func encodeRecord(img *vendorserver.Image) ([]byte, error) {
-	m, err := img.Manifest.MarshalBinary()
+// decodeRelease parses one record payload, or ok=false when it is not a
+// manifest followed by exactly the firmware it describes.
+func decodeRelease(p []byte) (*vendorserver.Image, bool) {
+	if len(p) < manifest.EncodedSize {
+		return nil, false
+	}
+	m, err := manifest.Unmarshal(p[:manifest.EncodedSize])
 	if err != nil {
-		return nil, err
+		return nil, false
 	}
-	n := len(m) + len(img.Firmware)
-	rec := make([]byte, 0, storeRecHeader+n+4)
-	rec = binary.BigEndian.AppendUint32(rec, storeRecMagic)
-	rec = binary.BigEndian.AppendUint32(rec, uint32(n))
-	rec = append(rec, m...)
-	rec = append(rec, img.Firmware...)
-	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-	return rec, nil
-}
-
-// decodeRecord parses the record starting at buf, returning the image
-// and the number of bytes consumed, or ok=false when the record is
-// incomplete or fails its CRC — which, at the tail of a log, is the
-// signature of a write torn by a crash.
-func decodeRecord(buf []byte) (*vendorserver.Image, int, bool) {
-	if len(buf) < storeRecHeader {
-		return nil, 0, false
-	}
-	if binary.BigEndian.Uint32(buf) != storeRecMagic {
-		return nil, 0, false
-	}
-	n := int(binary.BigEndian.Uint32(buf[4:]))
-	if n < manifest.EncodedSize || n > storeMaxRecord {
-		return nil, 0, false
-	}
-	total := storeRecHeader + n + 4
-	if len(buf) < total {
-		return nil, 0, false
-	}
-	body := buf[:storeRecHeader+n]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(buf[storeRecHeader+n:]) {
-		return nil, 0, false
-	}
-	m, err := manifest.Unmarshal(body[storeRecHeader : storeRecHeader+manifest.EncodedSize])
-	if err != nil {
-		return nil, 0, false
-	}
-	fw := body[storeRecHeader+manifest.EncodedSize:]
+	fw := p[manifest.EncodedSize:]
 	if int(m.Size) != len(fw) {
-		return nil, 0, false
+		return nil, false
 	}
-	return &vendorserver.Image{Manifest: *m, Firmware: append([]byte(nil), fw...)}, total, true
+	return &vendorserver.Image{Manifest: *m, Firmware: append([]byte(nil), fw...)}, true
 }
 
-// replayLog loads one app's log into the memory index, truncates any
-// torn tail, and leaves the file open for appends.
-func (s *FileStore) replayLog(appID uint32) error {
-	path := filepath.Join(s.dir, logName(appID))
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+// openLog opens (creating if needed) app's log, replays it into the
+// memory index and registers it for appends; s.mu must be held or the
+// store not yet shared. A stale record (version not newer than the one
+// before it) cannot be produced by Publish; it is skipped as dead so
+// one bad record does not shadow the rest of the log.
+func (s *FileStore) openLog(appID uint32) error {
+	l := &appLog{}
+	log, torn, err := framelog.Open(filepath.Join(s.dir, logName(appID)), storeRecMagic, func(p []byte, fr framelog.Frame) bool {
+		img, ok := decodeRelease(p)
+		if ok && s.mem.Publish(img) == nil {
+			l.frames = append(l.frames, fr)
+		}
+		return ok
+	})
 	if err != nil {
 		return err
 	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	valid := 0
-	for valid < len(data) {
-		img, n, ok := decodeRecord(data[valid:])
-		if !ok {
-			break
-		}
-		// A stale record (version not newer than the one before it)
-		// cannot be produced by Publish; skip it defensively so one bad
-		// record does not shadow the rest of the log.
-		if err := s.mem.Publish(img); err != nil && !errors.Is(err, ErrStaleVersion) {
-			f.Close()
-			return err
-		}
-		valid += n
-	}
-	if valid < len(data) {
-		// Torn tail (or trailing garbage): drop it so the log is a
-		// clean record sequence again and future appends stay parseable.
+	if torn {
 		s.tornTails++
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
 	}
-	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
-	s.logs[appID] = &appLog{f: f}
+	l.log = log
+	s.logs[appID] = l
 	return nil
 }
 
@@ -242,20 +171,12 @@ func (s *FileStore) log(appID uint32) (*appLog, error) {
 	if s.closed {
 		return nil, ErrStoreClosed
 	}
-	if l, ok := s.logs[appID]; ok {
-		return l, nil
+	if _, ok := s.logs[appID]; !ok {
+		if err := s.openLog(appID); err != nil {
+			return nil, err
+		}
 	}
-	f, err := os.OpenFile(filepath.Join(s.dir, logName(appID)), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := syncDir(s.dir); err != nil { // make the new file name durable
-		f.Close()
-		return nil, err
-	}
-	l := &appLog{f: f}
-	s.logs[appID] = l
-	return l, nil
+	return s.logs[appID], nil
 }
 
 // Publish implements ReleaseStore: append the record, fsync, then make
@@ -276,17 +197,19 @@ func (s *FileStore) Publish(img *vendorserver.Image) error {
 	if latest, ok := s.mem.Latest(img.Manifest.AppID); ok && img.Manifest.Version <= latest.Manifest.Version {
 		return fmt.Errorf("%w: v%d after v%d", ErrStaleVersion, img.Manifest.Version, latest.Manifest.Version)
 	}
-	rec, err := encodeRecord(img)
+	m, err := img.Manifest.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	if _, err := l.f.Write(rec); err != nil {
+	fr, err := l.log.Append(m, img.Firmware)
+	if err != nil {
 		return fmt.Errorf("updateserver: append release: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("updateserver: sync release log: %w", err)
+	if err := s.mem.Publish(img); err != nil {
+		return err
 	}
-	return s.mem.Publish(img)
+	l.frames = append(l.frames, fr)
+	return nil
 }
 
 // Latest implements ReleaseStore.
@@ -303,9 +226,10 @@ func (s *FileStore) Apps() []uint32 { return s.mem.Apps() }
 // Snapshot implements ReleaseStore.
 func (s *FileStore) Snapshot(appID uint32) []*vendorserver.Image { return s.mem.Snapshot(appID) }
 
-// Prune implements ReleaseStore: apps over the bound are compacted by
-// writing a fresh log of the retained releases and atomically renaming
-// it over the old one.
+// Prune implements ReleaseStore. The pruned releases' records become
+// dead bytes in their app's log, and the log compacts under
+// framelog's rule; a failed compaction only leaves the dead bytes in
+// place.
 func (s *FileStore) Prune(n int) []uint32 {
 	if n <= 0 {
 		return nil
@@ -317,64 +241,14 @@ func (s *FileStore) Prune(n int) []uint32 {
 			continue // closed store or unopenable log: nothing to prune
 		}
 		l.mu.Lock()
-		list := s.mem.Snapshot(appID)
-		if len(list) > n {
-			if err := s.compactLocked(appID, l, list[len(list)-n:]); err == nil {
-				s.mem.pruneApp(appID, n)
-				pruned = append(pruned, appID)
-			}
+		if s.mem.pruneApp(appID, n) {
+			l.frames = append([]framelog.Frame(nil), l.frames[max(0, len(l.frames)-n):]...)
+			_, _ = l.log.Compact(l.frames)
+			pruned = append(pruned, appID)
 		}
 		l.mu.Unlock()
 	}
 	return pruned
-}
-
-// compactLocked rewrites app's log to hold exactly keep, via a synced
-// temp file and an atomic rename; l.mu must be held.
-func (s *FileStore) compactLocked(appID uint32, l *appLog, keep []*vendorserver.Image) error {
-	path := filepath.Join(s.dir, logName(appID))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	for _, img := range keep {
-		rec, err := encodeRecord(img)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if _, err := f.Write(rec); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	// Swap the append handle onto the compacted file.
-	nf, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	l.f.Close()
-	l.f = nf
-	return nil
 }
 
 // Stats implements ReleaseStore.
@@ -397,25 +271,11 @@ func (s *FileStore) Close() error {
 	var first error
 	for _, l := range s.logs {
 		l.mu.Lock()
-		if err := l.f.Close(); err != nil && first == nil {
+		if err := l.log.Close(); err != nil && first == nil {
 			first = err
 		}
 		l.mu.Unlock()
 	}
 	s.logs = make(map[uint32]*appLog)
 	return first
-}
-
-// syncDir fsyncs a directory so renames and creations in it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

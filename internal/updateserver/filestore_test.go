@@ -175,7 +175,9 @@ func TestFileStoreCompactionOnPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	fw := bytes.Repeat([]byte("release-payload"), 200)
+	// Six 256 KiB releases pruned to two: the log is past 1 MiB and its
+	// dead bytes exceed its live ones, so the prune compacts it.
+	fw := bytes.Repeat([]byte("release-payload-"), 16<<10)
 	for v := uint16(1); v <= 6; v++ {
 		if err := fs.Publish(buildImage(t, vendor, 1, v, fw)); err != nil {
 			t.Fatal(err)
@@ -212,6 +214,56 @@ func TestFileStoreCompactionOnPrune(t *testing.T) {
 			versions[i] = img.Manifest.Version
 		}
 		t.Fatalf("post-compaction replay versions = %v, want [5 6 7]", versions)
+	}
+}
+
+// TestPrunedReleaseNeverServedAfterRestart: a prune below the
+// compaction threshold leaves the pruned records in the log, a replay
+// brings them back, and a server given the replayed store applies its
+// retention bound before serving anything.
+func TestPrunedReleaseNeverServedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	vendor := newVendor(t)
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(security.NewTinyCrypt(), security.MustGenerateKey("prune-server"), WithStore(fs), WithRetention(2))
+	for v := uint16(1); v <= 4; v++ {
+		if err := srv.Publish(buildImage(t, vendor, 1, v, bytes.Repeat([]byte{byte(v)}, 1000))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, logName(1))
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Close()
+	if before.Size() < 4*1000 {
+		t.Fatalf("log is %d bytes: pruned records were rewritten away below the compaction threshold", before.Size())
+	}
+
+	re, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := len(re.Snapshot(1)); got != 4 {
+		t.Fatalf("replay restored %d releases, want all 4 records", got)
+	}
+	restarted := New(security.NewTinyCrypt(), security.MustGenerateKey("prune-server"), WithStore(re), WithRetention(2))
+	for v := uint16(1); v <= 2; v++ {
+		if _, ok := restarted.ImageByVersion(1, v); ok {
+			t.Fatalf("release v%d pruned before the restart is served after it", v)
+		}
+	}
+	u, err := restarted.PrepareUpdate(1, manifest.DeviceToken{DeviceID: 1, Nonce: 1, CurrentVersion: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Differential {
+		t.Fatal("differential update served against a pruned base")
 	}
 }
 

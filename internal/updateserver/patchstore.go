@@ -1,40 +1,27 @@
 package updateserver
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"upkit/internal/framelog"
+	"upkit/internal/lru"
 	"upkit/internal/security"
 )
 
 // PatchStore is the durable tier behind the in-memory patch cache:
 // every differential payload the server computes (on demand or via the
-// patch farm) is appended to a CRC-framed log, so a restarted server
-// serves warm patches without redoing a single bsdiff. It follows the
-// same filestore discipline as the release store (filestore.go):
+// patch farm) is appended to a framelog.Log, so a restarted server
+// serves warm patches without redoing a single bsdiff. A Put is fsynced
+// before the patch becomes visible to Get, replay truncates a torn
+// tail, and dead records are compacted away under framelog's rule.
 //
-//   - Put appends the record and fsyncs the log before the patch
-//     becomes visible to Get, so an acknowledged write survives a
-//     crash and a crash mid-append leaves only an invisible torn tail.
-//   - Startup replay accepts the longest valid record prefix and
-//     truncates there; a torn tail costs exactly the unacknowledged
-//     patch.
-//   - Compaction writes a fresh log of the live entries and atomically
-//     renames it over the old one (fsync file, rename, fsync dir).
-//
-// On-disk format, one file (`patches.log`), a sequence of records in
-// write order (big endian):
-//
-//	magic "UPPD" | len uint32 | payload (len bytes) | crc32
-//
-// where payload is:
+// On-disk format, one file (`patches.log`) of framelog records with
+// magic "UPPD", in write order, whose payload is (big endian):
 //
 //	appID u32 | from u16 | to u16 | flags u8 | baseDigest 32 |
 //	targetDigest 32 | patch bytes
@@ -46,38 +33,27 @@ import (
 // from: a Get whose digests differ (the release store changed under
 // the same version numbers) is a miss and drops the stale entry.
 //
-// The index (key → file offset) lives in memory; patch bytes stay on
-// disk and are re-framed and CRC-checked on every read, so a corrupted
-// record degrades to a cache miss, never to a wrong patch. Entries are
-// bounded by live patch bytes with FIFO eviction (warm sets are
-// re-warmable; strict LRU on disk is not worth the bookkeeping), and
-// the log compacts when dead bytes exceed the live set.
+// The index (key → record frame) is an lru.Cache bounded by live patch
+// bytes; patch bytes stay on disk and are re-read and CRC-checked on
+// every hit, so a corrupted record degrades to a cache miss, never to a
+// wrong patch. Compaction writes the live records least recently used
+// first, so a replay restores the same recency order.
 type PatchStore struct {
-	mu  sync.Mutex
-	dir string
-	f   *os.File
-
-	maxBytes  int
-	liveBytes int // payload bytes of indexed records
-	fileBytes int // total bytes in the log, dead records included
-
-	index map[patchKey]*list.Element
-	fifo  *list.List // front = oldest insert, first to evict
-
+	mu     sync.Mutex
+	dir    string
+	log    *framelog.Log
+	index  *lru.Cache[patchKey, *diskEntry]
 	closed bool
 
-	hits, misses, puts, evictions, compactions uint64
-	tornTails                                  int
-	loadSeconds                                float64
+	hits, misses, puts, compactions uint64
+	tornTails                       int
 }
 
 // diskEntry is one indexed record.
 type diskEntry struct {
-	key    patchKey
+	frame  framelog.Frame
 	base   security.Digest
 	target security.Digest
-	off    int64 // record start (magic)
-	n      int   // full record length including frame
 	viable bool
 	bytes  int // patch payload bytes (0 for non-viable)
 }
@@ -88,15 +64,10 @@ const DefaultPatchStoreBytes = 64 << 20
 
 const (
 	patchRecMagic   uint32 = 0x55505044 // "UPPD"
-	patchRecHeader         = 4 + 4
 	patchMetaSize          = 4 + 2 + 2 + 1 + 2*security.DigestSize
 	patchFlagViable        = 1 << 0
-	// patchMaxRecord bounds a record's payload during replay; larger
-	// is corruption, not an allocation request.
-	patchMaxRecord = 64 << 20
+	patchLogName           = "patches.log"
 )
-
-const patchLogName = "patches.log"
 
 // ErrPatchStoreClosed reports use after Close.
 var ErrPatchStoreClosed = errors.New("updateserver: patch store is closed")
@@ -104,29 +75,32 @@ var ErrPatchStoreClosed = errors.New("updateserver: patch store is closed")
 // OpenPatchStore opens (creating if needed) the patch store rooted at
 // dir, bounded to maxBytes of live patch bytes (<= 0 selects
 // DefaultPatchStoreBytes), replaying the log and truncating any torn
-// tail.
+// tail. Later records for a key win (a re-publish recomputed the pair).
 func OpenPatchStore(dir string, maxBytes int) (*PatchStore, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultPatchStoreBytes
 	}
+	s := &PatchStore{
+		dir:   dir,
+		index: lru.New[patchKey, *diskEntry](maxBytes, func(e *diskEntry) int { return e.bytes }),
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("updateserver: patch dir: %w", err)
 	}
-	path := filepath.Join(dir, patchLogName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	log, torn, err := framelog.Open(filepath.Join(dir, patchLogName), patchRecMagic, func(p []byte, fr framelog.Frame) bool {
+		key, e, _, ok := decodePatch(p)
+		if ok {
+			e.frame = fr
+			s.index.Add(key, e)
+		}
+		return ok
+	})
 	if err != nil {
 		return nil, fmt.Errorf("updateserver: patch log: %w", err)
 	}
-	s := &PatchStore{
-		dir:      dir,
-		f:        f,
-		maxBytes: maxBytes,
-		index:    make(map[patchKey]*list.Element),
-		fifo:     list.New(),
-	}
-	if err := s.replay(); err != nil {
-		f.Close()
-		return nil, err
+	s.log = log
+	if torn {
+		s.tornTails++
 	}
 	return s, nil
 }
@@ -134,132 +108,40 @@ func OpenPatchStore(dir string, maxBytes int) (*PatchStore, error) {
 // Dir returns the store's state directory.
 func (s *PatchStore) Dir() string { return s.dir }
 
-// encodePatchRecord frames one patch result.
-func encodePatchRecord(key patchKey, base, target security.Digest, res patchResult) []byte {
-	n := patchMetaSize + len(res.patch)
-	rec := make([]byte, 0, patchRecHeader+n+4)
-	rec = binary.BigEndian.AppendUint32(rec, patchRecMagic)
-	rec = binary.BigEndian.AppendUint32(rec, uint32(n))
-	rec = binary.BigEndian.AppendUint32(rec, key.appID)
-	rec = binary.BigEndian.AppendUint16(rec, key.from)
-	rec = binary.BigEndian.AppendUint16(rec, key.to)
+// patchMeta encodes a record's fixed-size head.
+func patchMeta(key patchKey, base, target security.Digest, viable bool) []byte {
+	meta := make([]byte, 0, patchMetaSize)
+	meta = binary.BigEndian.AppendUint32(meta, key.appID)
+	meta = binary.BigEndian.AppendUint16(meta, key.from)
+	meta = binary.BigEndian.AppendUint16(meta, key.to)
 	var flags byte
-	if res.viable {
+	if viable {
 		flags |= patchFlagViable
 	}
-	rec = append(rec, flags)
-	rec = append(rec, base[:]...)
-	rec = append(rec, target[:]...)
-	rec = append(rec, res.patch...)
-	return binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	meta = append(meta, flags)
+	meta = append(meta, base[:]...)
+	return append(meta, target[:]...)
 }
 
-// decodePatchRecord parses the record starting at buf, returning the
-// entry metadata, the patch bytes, and the bytes consumed, or ok=false
-// when the record is incomplete or fails its CRC.
-func decodePatchRecord(buf []byte) (e diskEntry, patch []byte, n int, ok bool) {
-	if len(buf) < patchRecHeader {
-		return e, nil, 0, false
+// decodePatch parses a record payload into its key, index entry (frame
+// unset) and patch bytes, or ok=false when it is malformed.
+func decodePatch(p []byte) (key patchKey, e *diskEntry, patch []byte, ok bool) {
+	if len(p) < patchMetaSize {
+		return key, nil, nil, false
 	}
-	if binary.BigEndian.Uint32(buf) != patchRecMagic {
-		return e, nil, 0, false
-	}
-	plen := int(binary.BigEndian.Uint32(buf[4:]))
-	if plen < patchMetaSize || plen > patchMaxRecord {
-		return e, nil, 0, false
-	}
-	total := patchRecHeader + plen + 4
-	if len(buf) < total {
-		return e, nil, 0, false
-	}
-	body := buf[:patchRecHeader+plen]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(buf[patchRecHeader+plen:]) {
-		return e, nil, 0, false
-	}
-	p := body[patchRecHeader:]
-	e.key = patchKey{
+	key = patchKey{
 		appID: binary.BigEndian.Uint32(p),
 		from:  binary.BigEndian.Uint16(p[4:]),
 		to:    binary.BigEndian.Uint16(p[6:]),
 	}
-	flags := p[8]
+	patch = p[patchMetaSize:]
+	e = &diskEntry{viable: p[8]&patchFlagViable != 0, bytes: len(patch)}
 	copy(e.base[:], p[9:])
 	copy(e.target[:], p[9+security.DigestSize:])
-	patch = p[patchMetaSize:]
-	e.viable = flags&patchFlagViable != 0
-	e.bytes = len(patch)
-	e.n = total
 	if !e.viable && len(patch) != 0 {
-		return e, nil, 0, false // a non-viable record carries no patch
+		return key, nil, nil, false // a non-viable record carries no patch
 	}
-	return e, patch, total, true
-}
-
-// replay loads the log into the index, truncating any torn tail. Later
-// records for the same key win (a re-publish recomputed the pair).
-func (s *PatchStore) replay() error {
-	data, err := io.ReadAll(s.f)
-	if err != nil {
-		return fmt.Errorf("updateserver: patch log read: %w", err)
-	}
-	valid := 0
-	for valid < len(data) {
-		e, _, n, ok := decodePatchRecord(data[valid:])
-		if !ok {
-			break
-		}
-		e.off = int64(valid)
-		s.indexLocked(e)
-		valid += n
-	}
-	if valid < len(data) {
-		s.tornTails++
-		if err := s.f.Truncate(int64(valid)); err != nil {
-			return fmt.Errorf("updateserver: patch log truncate: %w", err)
-		}
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("updateserver: patch log sync: %w", err)
-		}
-	}
-	s.fileBytes = valid
-	if _, err := s.f.Seek(int64(valid), io.SeekStart); err != nil {
-		return fmt.Errorf("updateserver: patch log seek: %w", err)
-	}
-	// The replayed live set may exceed the bound (the bound shrank, or
-	// dead records were compacted away under it): evict from the cold
-	// end like any Put would.
-	s.evictLocked()
-	return nil
-}
-
-// indexLocked installs e, superseding any previous record for its key.
-func (s *PatchStore) indexLocked(e diskEntry) {
-	if el, ok := s.index[e.key]; ok {
-		s.dropLocked(el)
-	}
-	cp := e
-	s.index[e.key] = s.fifo.PushBack(&cp)
-	s.liveBytes += e.bytes
-}
-
-// dropLocked removes one indexed entry (its record stays in the file as
-// dead bytes until compaction).
-func (s *PatchStore) dropLocked(el *list.Element) {
-	e := s.fifo.Remove(el).(*diskEntry)
-	delete(s.index, e.key)
-	s.liveBytes -= e.bytes
-}
-
-// evictLocked enforces the live-byte bound, oldest insert first.
-func (s *PatchStore) evictLocked() {
-	for s.liveBytes > s.maxBytes {
-		front := s.fifo.Front()
-		if front == nil {
-			break
-		}
-		s.dropLocked(front)
-		s.evictions++
-	}
+	return key, e, patch, true
 }
 
 // Put persists res for key, computed from firmware with the given
@@ -267,27 +149,19 @@ func (s *PatchStore) evictLocked() {
 // crash never loses an acknowledged patch — at worst it leaves a torn
 // tail that replay drops.
 func (s *PatchStore) Put(key patchKey, base, target security.Digest, res patchResult) error {
-	rec := encodePatchRecord(key, base, target, res)
+	meta := patchMeta(key, base, target, res.viable)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrPatchStoreClosed
 	}
-	off := int64(s.fileBytes)
-	if _, err := s.f.Write(rec); err != nil {
+	fr, err := s.log.Append(meta, res.patch)
+	if err != nil {
 		return fmt.Errorf("updateserver: append patch: %w", err)
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("updateserver: sync patch log: %w", err)
-	}
-	s.fileBytes += len(rec)
 	s.puts++
-	s.indexLocked(diskEntry{
-		key: key, base: base, target: target,
-		off: off, n: len(rec), viable: res.viable, bytes: len(res.patch),
-	})
-	s.evictLocked()
-	s.maybeCompactLocked()
+	s.index.Add(key, &diskEntry{frame: fr, base: base, target: target, viable: res.viable, bytes: len(res.patch)})
+	s.compactLocked()
 	return nil
 }
 
@@ -302,130 +176,52 @@ func (s *PatchStore) Get(key patchKey, base, target security.Digest) (patchResul
 	if s.closed {
 		return patchResult{}, false
 	}
-	el, ok := s.index[key]
+	e, ok := s.index.Get(key)
+	var patch []byte
+	if ok {
+		patch, ok = s.readLocked(key, e, base, target)
+	}
 	if !ok {
-		s.misses++
-		return patchResult{}, false
-	}
-	e := el.Value.(*diskEntry)
-	if e.base != base || e.target != target {
-		s.dropLocked(el)
-		s.misses++
-		return patchResult{}, false
-	}
-	buf := make([]byte, e.n)
-	if _, err := s.f.ReadAt(buf, e.off); err != nil {
-		s.dropLocked(el)
-		s.misses++
-		return patchResult{}, false
-	}
-	de, patch, _, ok := decodePatchRecord(buf)
-	if !ok || de.key != e.key {
-		s.dropLocked(el)
+		s.index.Remove(key)
 		s.misses++
 		return patchResult{}, false
 	}
 	s.hits++
 	res := patchResult{viable: e.viable}
 	if e.viable {
-		res.patch = append([]byte(nil), patch...)
+		res.patch = exactCopy(patch)
 	}
 	return res, true
 }
 
-// Invalidate drops every indexed entry for app (Publish superseded the
-// latest version, retention pruning dropped bases). The dead records
-// are reclaimed by the next compaction.
-func (s *PatchStore) Invalidate(appID uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for el := s.fifo.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*diskEntry).key.appID == appID {
-			s.dropLocked(el)
-		}
-		el = next
+// readLocked reads e's patch back if e was computed from base and
+// target and its record still parses as key's.
+func (s *PatchStore) readLocked(key patchKey, e *diskEntry, base, target security.Digest) ([]byte, bool) {
+	if e.base != base || e.target != target {
+		return nil, false
 	}
-	s.maybeCompactLocked()
+	p, err := s.log.ReadAt(e.frame)
+	if err != nil {
+		return nil, false
+	}
+	k, _, patch, ok := decodePatch(p)
+	return patch, ok && k == key
 }
 
-// maybeCompactLocked rewrites the log when dead bytes exceed the live
-// set (and the file is big enough to bother).
-func (s *PatchStore) maybeCompactLocked() {
-	liveFile := 0
-	for el := s.fifo.Front(); el != nil; el = el.Next() {
-		liveFile += el.Value.(*diskEntry).n
-	}
-	if s.fileBytes < 1<<20 || s.fileBytes-liveFile <= liveFile {
-		return
-	}
-	if err := s.compactLocked(); err == nil {
+// compactLocked hands the live records to the log's compaction rule.
+func (s *PatchStore) compactLocked() {
+	var ents []*diskEntry
+	var live []framelog.Frame
+	s.index.Walk(func(_ patchKey, e *diskEntry) {
+		ents = append(ents, e)
+		live = append(live, e.frame)
+	})
+	if moved, _ := s.log.Compact(live); moved {
 		s.compactions++
-	}
-}
-
-// compactLocked writes the live records to a temp file and atomically
-// renames it over the log, re-pointing the index at the new offsets.
-func (s *PatchStore) compactLocked() error {
-	path := filepath.Join(s.dir, patchLogName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	type move struct {
-		e   *diskEntry
-		off int64
-	}
-	var moves []move
-	var off int64
-	for el := s.fifo.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*diskEntry)
-		buf := make([]byte, e.n)
-		if _, err := s.f.ReadAt(buf, e.off); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
+		for i, e := range ents {
+			e.frame = live[i]
 		}
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		moves = append(moves, move{e: e, off: off})
-		off += int64(e.n)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	nf, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := nf.Seek(off, io.SeekStart); err != nil {
-		nf.Close()
-		return err
-	}
-	s.f.Close()
-	s.f = nf
-	s.fileBytes = int(off)
-	for _, m := range moves {
-		m.e.off = m.off
-	}
-	return nil
 }
 
 // PatchStoreStats is a snapshot of the store's counters, exposed via
@@ -452,16 +248,17 @@ type PatchStoreStats struct {
 func (s *PatchStore) Stats() PatchStoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st := s.index.Stats()
 	return PatchStoreStats{
 		Hits:        s.hits,
 		Misses:      s.misses,
 		Puts:        s.puts,
-		Evictions:   s.evictions,
+		Evictions:   st.Evictions,
 		Compactions: s.compactions,
 		TornTails:   s.tornTails,
-		Entries:     s.fifo.Len(),
-		Bytes:       s.liveBytes,
-		FileBytes:   s.fileBytes,
+		Entries:     st.Entries,
+		Bytes:       st.Bytes,
+		FileBytes:   int(s.log.Size()),
 	}
 }
 
@@ -474,5 +271,5 @@ func (s *PatchStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.f.Close()
+	return s.log.Close()
 }

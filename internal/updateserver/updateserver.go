@@ -105,7 +105,7 @@ type Server struct {
 	// ignored when WithStore injects a backend.
 	shards int
 
-	// cache memoises differential payloads per (app, from, to) pair
+	// cache memoises differential payloads per firmware digest pair
 	// with singleflight dedup; see cache.go. It has its own lock and is
 	// independent of the store's locks. cacheBytes holds
 	// WithPatchCacheSize's argument until New builds it.
@@ -214,10 +214,10 @@ func WithSigners(n int) Option {
 }
 
 // WithRetention bounds the number of releases kept per app; 0 (the
-// default) keeps everything. Every Publish prunes past the bound, and a
-// pruned release stops being a differential base: devices reporting
-// that version get the full image (the token field covers this,
-// §III-B).
+// default) keeps everything. New prunes the store it is given once and
+// every Publish prunes past the bound; a pruned release stops being a
+// differential base: devices reporting that version get the full image
+// (the token field covers this, §III-B).
 func WithRetention(n int) Option {
 	return func(s *Server) { s.retain = n }
 }
@@ -340,6 +340,11 @@ func New(suite security.Suite, key *security.PrivateKey, opts ...Option) *Server
 	s.cache = newPatchCache(s.cacheBytes, s.patchStore)
 	if s.store == nil {
 		s.store = NewMemStore(s.shards)
+	}
+	// A durable store replays releases pruned before a restart; apply
+	// the bound once so none of them is ever served again.
+	if s.retain > 0 {
+		s.store.Prune(s.retain)
 	}
 	if s.blocks == nil {
 		s.blocks = dist.NewRegistry(0)
@@ -487,23 +492,16 @@ func (s *Server) Publish(img *vendorserver.Image) error {
 	if img == nil {
 		return errors.New("updateserver: nil image")
 	}
+	prev := s.store.Snapshot(img.Manifest.AppID)
 	if err := s.store.Publish(img); err != nil {
 		return err
 	}
-	var pruned []uint32
 	if s.retain > 0 {
-		pruned = s.store.Prune(s.retain)
+		s.store.Prune(s.retain)
 	}
-
-	// Every cached patch for this app targets a now-superseded latest
-	// version (and publish-time pruning may have dropped bases), so
-	// drop them all before anyone reacts to the announcement.
-	s.cache.invalidateApp(img.Manifest.AppID)
-	for _, app := range pruned {
-		if app != img.Manifest.AppID {
-			s.cache.invalidateApp(app)
-		}
-	}
+	// Free the patches to the superseded latest before anyone reacts to
+	// the announcement.
+	s.cache.dropSuperseded(prev)
 
 	s.met.published.Inc()
 	s.bus.Publish(Announcement{AppID: img.Manifest.AppID, Version: img.Manifest.Version})
@@ -606,7 +604,7 @@ func (s *Server) PrepareUpdate(appID uint32, tok manifest.DeviceToken) (*Update,
 		// that verdict too and we fall back to the full image (the
 		// manifest then says so).
 		pk := patchKey{appID: appID, from: tok.CurrentVersion, to: latest.Manifest.Version}
-		res := s.cache.payload(pk, base.Manifest.FirmwareDigest, latest.Manifest.FirmwareDigest,
+		res, _ := s.cache.resolve(pk, base.Manifest.FirmwareDigest, latest.Manifest.FirmwareDigest,
 			base.Firmware, latest.Firmware)
 		if res.viable {
 			m.OldVersion = tok.CurrentVersion

@@ -153,7 +153,7 @@ func (s *Server) WarmPatch(appID uint32, from, to uint16) (WarmResult, error) {
 		return WarmResult{}, fmt.Errorf("updateserver: warm: no stored base v%d for app %#x", from, appID)
 	}
 	pk := patchKey{appID: appID, from: from, to: to}
-	res, already := s.cache.warm(pk, base.Manifest.FirmwareDigest, target.Manifest.FirmwareDigest,
+	res, already := s.cache.resolve(pk, base.Manifest.FirmwareDigest, target.Manifest.FirmwareDigest,
 		base.Firmware, target.Firmware)
 	return WarmResult{
 		To:              to,
