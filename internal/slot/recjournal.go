@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"upkit/internal/flash"
 	"upkit/internal/manifest"
@@ -15,20 +14,9 @@ import (
 // an in-flight firmware download, so a power loss mid-transfer costs
 // only the bytes since the last checkpoint instead of the whole image.
 //
-// NOR flash cannot rewrite in place, so the journal is a ring of
-// fixed-size record frames across at least two sectors. Each Save
-// programs the next free frame with a monotonically increasing sequence
-// number; entering a sector's first frame erases that sector — and only
-// that sector — so the frame holding the latest valid record always
-// lives in the sector that is NOT being erased. On load, the valid
-// record with the highest sequence number wins; torn frames simply fail
-// their CRC and are skipped.
-//
-// Record frame layout (big endian):
-//
-//	magic "URXJ" | seq uint32 | len uint32 | payload (len bytes) | crc32
-//
-// where payload is:
+// It is a ring (ring.go) of sized frames: each Save programs one record
+// as the next frame's payload, and the record in the valid frame with
+// the highest sequence number wins on load. The payload is:
 //
 //	device token (10 B) | nameLen uint8 | slot name | manifest version
 //	uint16 | received uint32 | pipeLen uint16 | pipeline checkpoint
@@ -40,6 +28,7 @@ const recFrameSize = 2048
 // recMagic marks a programmed record frame.
 const recMagic uint32 = 0x5552584A // "URXJ"
 
+// recHeaderSize is a record frame's magic | seq | len.
 const recHeaderSize = 4 + 4 + 4
 
 // Reception journal errors.
@@ -64,34 +53,26 @@ type ReceptionRecord struct {
 	Pipeline []byte
 }
 
-// ReceptionJournal manages the journal region. The cursor and sequence
-// cache are rebuilt from flash whenever they are unknown (fresh object
-// or after a failed write), so the struct itself holds no durable state.
+// ReceptionJournal manages the journal region. Like every ring it holds
+// no durable state of its own.
 type ReceptionJournal struct {
-	region    flash.Region
-	frameSize int
-	frames    int
-	perSector int
-
-	scanned bool
-	nextSeq uint32
-	cursor  int
+	ring
 }
 
 // NewReceptionJournal wraps region, which must span at least two
 // sectors so the latest record survives the ring's sector erases.
 func NewReceptionJournal(region flash.Region) (*ReceptionJournal, error) {
-	sector := region.Mem.Geometry().SectorSize
 	if region.Sectors() < 2 {
 		return nil, ErrRecJournalTooSmall
 	}
-	frame := min(recFrameSize, sector)
-	return &ReceptionJournal{
+	return &ReceptionJournal{newRing(ring{
 		region:    region,
-		frameSize: frame,
-		frames:    region.Length / frame,
-		perSector: sector / frame,
-	}, nil
+		name:      "reception journal",
+		magic:     recMagic,
+		frameSize: recFrameSize,
+		sized:     true,
+		valid:     func(p []byte) bool { _, err := decodeReceptionRecord(p); return err == nil },
+	})}, nil
 }
 
 // ReceptionPending reports whether region holds a valid reception
@@ -107,65 +88,14 @@ func ReceptionPending(region flash.Region) bool {
 	return err == nil && rec != nil
 }
 
-// frameAt reads and validates the frame at index i, returning the
-// decoded record and its sequence number, or nil if the frame is blank
-// or corrupt.
-func (j *ReceptionJournal) frameAt(i int) (*ReceptionRecord, uint32) {
-	hdr := make([]byte, recHeaderSize)
-	off := i * j.frameSize
-	if err := j.region.ReadAt(off, hdr); err != nil {
-		return nil, 0
-	}
-	if binary.BigEndian.Uint32(hdr) != recMagic {
-		return nil, 0
-	}
-	seq := binary.BigEndian.Uint32(hdr[4:])
-	n := int(binary.BigEndian.Uint32(hdr[8:]))
-	if n < 0 || recHeaderSize+n+4 > j.frameSize {
-		return nil, 0
-	}
-	frame := make([]byte, recHeaderSize+n+4)
-	if err := j.region.ReadAt(off, frame); err != nil {
-		return nil, 0
-	}
-	body := frame[:recHeaderSize+n]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(frame[recHeaderSize+n:]) {
-		return nil, 0
-	}
-	rec, err := decodeReceptionRecord(body[recHeaderSize:])
-	if err != nil {
-		return nil, 0
-	}
-	return rec, seq
-}
-
-// scan walks all frames and rebuilds the cursor/sequence cache.
-func (j *ReceptionJournal) scan() (best *ReceptionRecord, bestFrame int) {
-	bestFrame = -1
-	var bestSeq uint32
-	for i := range j.frames {
-		rec, seq := j.frameAt(i)
-		if rec == nil {
-			continue
-		}
-		if best == nil || seq > bestSeq {
-			best, bestSeq, bestFrame = rec, seq, i
-		}
-	}
-	j.nextSeq = bestSeq + 1
-	j.cursor = 0
-	if bestFrame >= 0 {
-		j.cursor = (bestFrame + 1) % j.frames
-	}
-	j.scanned = true
-	return best, bestFrame
-}
-
 // Load returns the latest valid record, or nil if the journal holds
 // none.
 func (j *ReceptionJournal) Load() (*ReceptionRecord, error) {
-	rec, _ := j.scan()
-	return rec, nil
+	payload := j.scan()
+	if payload == nil {
+		return nil, nil
+	}
+	return decodeReceptionRecord(payload)
 }
 
 // Save persists rec as the new latest record. On success earlier
@@ -175,83 +105,16 @@ func (j *ReceptionJournal) Save(rec *ReceptionRecord) error {
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, recHeaderSize+len(payload)+4)
-	if len(frame) > j.frameSize {
-		return fmt.Errorf("%w: %d > %d bytes", ErrRecRecordTooLarge, len(frame), j.frameSize)
+	if n := recHeaderSize + len(payload) + 4; n > j.frameSize {
+		return fmt.Errorf("%w: %d > %d bytes", ErrRecRecordTooLarge, n, j.frameSize)
 	}
-	if !j.scanned {
-		j.scan()
-	}
-	binary.BigEndian.PutUint32(frame, recMagic)
-	binary.BigEndian.PutUint32(frame[4:], j.nextSeq)
-	binary.BigEndian.PutUint32(frame[8:], uint32(len(payload)))
-	copy(frame[recHeaderSize:], payload)
-	binary.BigEndian.PutUint32(frame[recHeaderSize+len(payload):],
-		crc32.ChecksumIEEE(frame[:recHeaderSize+len(payload)]))
-
-	// Find a programmable frame: entering a sector erases it whole;
-	// within a sector, torn frames (not blank, e.g. a previous Save hit
-	// by a power loss) are skipped. Bounded: every perSector-th step
-	// erases, so at most frames+perSector probes.
-	for probe := 0; probe <= j.frames+j.perSector; probe++ {
-		at := j.cursor
-		if at%j.perSector == 0 {
-			if err := j.region.EraseSectorAt(at * j.frameSize); err != nil {
-				j.scanned = false
-				return fmt.Errorf("slot: reception journal erase: %w", err)
-			}
-		} else if !j.frameBlank(at) {
-			j.cursor = (at + 1) % j.frames
-			continue
-		}
-		if err := j.region.ProgramAt(at*j.frameSize, frame); err != nil {
-			j.scanned = false
-			return fmt.Errorf("slot: reception journal write: %w", err)
-		}
-		j.cursor = (at + 1) % j.frames
-		j.nextSeq++
-		return nil
-	}
-	j.scanned = false
-	return errors.New("slot: reception journal has no free frame")
-}
-
-// frameBlank reports whether frame i is fully erased.
-func (j *ReceptionJournal) frameBlank(i int) bool {
-	buf := make([]byte, j.frameSize)
-	if err := j.region.ReadAt(i*j.frameSize, buf); err != nil {
-		return false
-	}
-	for _, b := range buf {
-		if b != 0xFF {
-			return false
-		}
-	}
-	return true
+	return j.write(payload)
 }
 
 // Invalidate discards all records, erasing only sectors that are not
 // already blank (the common post-update case costs zero erases).
 func (j *ReceptionJournal) Invalidate() error {
-	sector := j.region.Mem.Geometry().SectorSize
-	for off := 0; off < j.region.Length; off += sector {
-		blank := true
-		for f := off / j.frameSize; f < (off+sector)/j.frameSize; f++ {
-			if !j.frameBlank(f) {
-				blank = false
-				break
-			}
-		}
-		if blank {
-			continue
-		}
-		if err := j.region.EraseSectorAt(off); err != nil {
-			j.scanned = false
-			return fmt.Errorf("slot: reception journal invalidate: %w", err)
-		}
-	}
-	j.scanned = false
-	return nil
+	return invalidateRing(&j.ring)
 }
 
 // encodeReceptionRecord renders the record payload.
@@ -266,9 +129,7 @@ func encodeReceptionRecord(rec *ReceptionRecord) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, len(tok)+1+len(rec.SlotName)+2+4+2+len(rec.Pipeline))
-	buf = append(buf, tok...)
-	buf = append(buf, byte(len(rec.SlotName)))
+	buf := append(tok, byte(len(rec.SlotName)))
 	buf = append(buf, rec.SlotName...)
 	buf = binary.BigEndian.AppendUint16(buf, rec.ManifestVersion)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rec.Received))
@@ -286,23 +147,17 @@ func decodeReceptionRecord(buf []byte) (*ReceptionRecord, error) {
 	if err := rec.Token.UnmarshalBinary(buf[:manifest.TokenEncodedSize]); err != nil {
 		return nil, err
 	}
-	p := manifest.TokenEncodedSize
-	nameLen := int(buf[p])
-	p++
+	p, nameLen := manifest.TokenEncodedSize+1, int(buf[manifest.TokenEncodedSize])
 	if p+nameLen+2+4+2 > len(buf) {
 		return nil, errors.New("slot: reception record truncated")
 	}
 	rec.SlotName = string(buf[p : p+nameLen])
-	p += nameLen
-	rec.ManifestVersion = binary.BigEndian.Uint16(buf[p:])
-	p += 2
-	rec.Received = int(binary.BigEndian.Uint32(buf[p:]))
-	p += 4
-	pipeLen := int(binary.BigEndian.Uint16(buf[p:]))
-	p += 2
-	if p+pipeLen != len(buf) {
+	rest := buf[p+nameLen:] // version u16 | received u32 | pipeLen u16 | pipeline
+	rec.ManifestVersion = binary.BigEndian.Uint16(rest)
+	rec.Received = int(binary.BigEndian.Uint32(rest[2:]))
+	if 2+4+2+int(binary.BigEndian.Uint16(rest[6:])) != len(rest) {
 		return nil, errors.New("slot: reception record length mismatch")
 	}
-	rec.Pipeline = append([]byte(nil), buf[p:p+pipeLen]...)
+	rec.Pipeline = append([]byte(nil), rest[2+4+2:]...)
 	return rec, nil
 }

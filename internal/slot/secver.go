@@ -3,8 +3,6 @@ package slot
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 
 	"upkit/internal/flash"
 )
@@ -18,37 +16,24 @@ import (
 // images still install) or on the new image, never in a state where a
 // rolled-back image would be accepted.
 //
-// Storage follows the reception journal's NOR ring discipline: a ring of
-// fixed 16-byte frames across at least two sectors, monotonically
-// sequenced, erase-on-sector-entry, so the frame holding the current
-// value never lives in the sector being erased. Torn frames fail their
-// CRC and are skipped.
-//
-// Frame layout (big endian):
-//
-//	magic "UPSV" | seq uint32 | value uint32 | crc32
+// It is a ring (ring.go) of fixed 16-byte frames with magic "UPSV" whose
+// 4-byte payload is the value. Unlike the reception journal it has no
+// Invalidate: nothing can discard the value, so there is no rollback
+// primitive.
 const (
-	secFrameSize  = 16
-	secMagic      = uint32(0x55505356) // "UPSV"
-	secHeaderSize = 4 + 4
+	secFrameSize = 16
+	secMagic     = uint32(0x55505356) // "UPSV"
 )
 
 // ErrSecCounterTooSmall is returned when the counter region spans fewer
 // than two sectors.
 var ErrSecCounterTooSmall = errors.New("slot: security counter needs at least two sectors")
 
-// SecurityCounter manages the counter region. Like ReceptionJournal, the
-// cursor/sequence cache is rebuilt from flash whenever unknown, so the
-// struct holds no durable state of its own.
+// SecurityCounter manages the counter region. Like every ring it holds
+// no durable state of its own.
 type SecurityCounter struct {
-	region    flash.Region
-	frames    int
-	perSector int
-
-	scanned bool
-	nextSeq uint32
-	cursor  int
-	value   uint32
+	ring
+	value uint32 // the latest frame's payload, valid while scanned
 }
 
 // NewSecurityCounter wraps region, which must span at least two sectors.
@@ -56,56 +41,22 @@ func NewSecurityCounter(region flash.Region) (*SecurityCounter, error) {
 	if region.Sectors() < 2 {
 		return nil, ErrSecCounterTooSmall
 	}
-	sector := region.Mem.Geometry().SectorSize
-	return &SecurityCounter{
+	return &SecurityCounter{ring: newRing(ring{
 		region:    region,
-		frames:    region.Length / secFrameSize,
-		perSector: sector / secFrameSize,
-	}, nil
-}
-
-// frameAt reads and validates frame i, returning (value, seq, ok).
-func (c *SecurityCounter) frameAt(i int) (uint32, uint32, bool) {
-	frame := make([]byte, secFrameSize)
-	if err := c.region.ReadAt(i*secFrameSize, frame); err != nil {
-		return 0, 0, false
-	}
-	if binary.BigEndian.Uint32(frame) != secMagic {
-		return 0, 0, false
-	}
-	if crc32.ChecksumIEEE(frame[:12]) != binary.BigEndian.Uint32(frame[12:]) {
-		return 0, 0, false
-	}
-	return binary.BigEndian.Uint32(frame[8:12]), binary.BigEndian.Uint32(frame[4:8]), true
-}
-
-// scan rebuilds the value/cursor/sequence cache from flash.
-func (c *SecurityCounter) scan() {
-	bestFrame := -1
-	var bestSeq, bestVal uint32
-	for i := range c.frames {
-		val, seq, ok := c.frameAt(i)
-		if !ok {
-			continue
-		}
-		if bestFrame < 0 || seq > bestSeq {
-			bestFrame, bestSeq, bestVal = i, seq, val
-		}
-	}
-	c.value = bestVal
-	c.nextSeq = bestSeq + 1
-	c.cursor = 0
-	if bestFrame >= 0 {
-		c.cursor = (bestFrame + 1) % c.frames
-	}
-	c.scanned = true
+		name:      "security counter",
+		magic:     secMagic,
+		frameSize: secFrameSize,
+	})}, nil
 }
 
 // Value returns the persisted counter, or zero when none has ever been
 // written (factory state).
 func (c *SecurityCounter) Value() uint32 {
 	if !c.scanned {
-		c.scan()
+		c.value = 0
+		if payload := c.scan(); payload != nil {
+			c.value = binary.BigEndian.Uint32(payload)
+		}
 	}
 	return c.value
 }
@@ -115,55 +66,12 @@ func (c *SecurityCounter) Value() uint32 {
 // monotonic by construction). The write is durable before Advance
 // returns.
 func (c *SecurityCounter) Advance(v uint32) error {
-	if !c.scanned {
-		c.scan()
-	}
-	if v <= c.value {
+	if v <= c.Value() {
 		return nil
 	}
-	frame := make([]byte, secFrameSize)
-	binary.BigEndian.PutUint32(frame, secMagic)
-	binary.BigEndian.PutUint32(frame[4:], c.nextSeq)
-	binary.BigEndian.PutUint32(frame[8:], v)
-	binary.BigEndian.PutUint32(frame[12:], crc32.ChecksumIEEE(frame[:12]))
-
-	// Same probe discipline as the reception journal: entering a sector
-	// erases it whole; torn (non-blank) frames inside a sector are
-	// skipped.
-	for probe := 0; probe <= c.frames+c.perSector; probe++ {
-		at := c.cursor
-		if at%c.perSector == 0 {
-			if err := c.region.EraseSectorAt(at * secFrameSize); err != nil {
-				c.scanned = false
-				return fmt.Errorf("slot: security counter erase: %w", err)
-			}
-		} else if !c.frameBlank(at) {
-			c.cursor = (at + 1) % c.frames
-			continue
-		}
-		if err := c.region.ProgramAt(at*secFrameSize, frame); err != nil {
-			c.scanned = false
-			return fmt.Errorf("slot: security counter write: %w", err)
-		}
-		c.cursor = (at + 1) % c.frames
-		c.nextSeq++
-		c.value = v
-		return nil
+	if err := c.write(binary.BigEndian.AppendUint32(nil, v)); err != nil {
+		return err
 	}
-	c.scanned = false
-	return errors.New("slot: security counter has no free frame")
-}
-
-// frameBlank reports whether frame i is fully erased.
-func (c *SecurityCounter) frameBlank(i int) bool {
-	buf := make([]byte, secFrameSize)
-	if err := c.region.ReadAt(i*secFrameSize, buf); err != nil {
-		return false
-	}
-	for _, b := range buf {
-		if b != 0xFF {
-			return false
-		}
-	}
-	return true
+	c.value = v
+	return nil
 }
