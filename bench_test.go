@@ -164,7 +164,7 @@ func BenchmarkPortability(b *testing.B) {
 // BenchmarkPrepareUpdateParallel measures the update server's request
 // hot path under many concurrent devices (real CPU time). With the
 // patch warmed into the cache, every request is a store lookup plus a
-// per-request ECDSA signature over sharded read locks, so throughput
+// per-request ECDSA signature under a store read lock, so throughput
 // should scale with cores; run with -cpu 1,2,4 to see it.
 func BenchmarkPrepareUpdateParallel(b *testing.B) {
 	b.Run("inline-signing", func(b *testing.B) {

@@ -19,9 +19,7 @@
 // controlplane and the README's "Operating a rollout" section.
 //
 // Serve-path scaling flags: -patch-state <dir> persists computed
-// differential patches across restarts, -farm precomputes them off the
-// request path (auto-warming observed version pairs on each publish,
-// with admin endpoints under /api/v1/patchfarm), and -signers N bounds
+// differential patches across restarts, and -signers N bounds
 // per-request ECDSA signing to a worker pool — see the README's
 // "Scaling the update server" section.
 package main
@@ -42,7 +40,6 @@ import (
 	"upkit/internal/coap"
 	"upkit/internal/controlplane"
 	"upkit/internal/manifest"
-	"upkit/internal/patchfarm"
 	"upkit/internal/security"
 	"upkit/internal/updateserver"
 	"upkit/internal/vendorserver"
@@ -74,8 +71,6 @@ func run() error {
 	campaigns := flag.Bool("campaigns", false, "serve the campaign control plane under /api/v1/campaigns (requires -http)")
 	campaignDir := flag.String("campaigns-state", "", "persistence directory for campaigns; empty keeps them in memory only")
 	patchDir := flag.String("patch-state", "", "directory for the durable patch store; empty recomputes patches after every restart")
-	farm := flag.Bool("farm", false, "run the patch farm: auto-warm differentials on publish, admin endpoints under /api/v1/patchfarm (with -http)")
-	farmWorkers := flag.Int("farm-workers", 0, "patch-farm worker count (0 = GOMAXPROCS)")
 	signers := flag.Int("signers", 0, "parallel manifest-signing pool size (0 disables the pool, negative = GOMAXPROCS)")
 	var images imageList
 	flag.Var(&images, "image", "vendor-signed image file (.upk); repeatable")
@@ -165,15 +160,6 @@ func run() error {
 
 	server := updateserver.New(suite, key, serverOpts...)
 	defer server.Close()
-	if *farm {
-		f := patchfarm.New(server, patchfarm.Config{
-			Workers:  *farmWorkers,
-			AutoWarm: true,
-		})
-		defer f.Close()
-		server.Mount(f.Register)
-		fmt.Println("patch farm running (warm/stats under /api/v1/patchfarm)")
-	}
 	if *keysPath != "" {
 		bundle, err := os.ReadFile(*keysPath)
 		if err != nil {

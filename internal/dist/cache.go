@@ -117,7 +117,7 @@ func (c *CachingSource) Block(name Name, num uint32, size int) ([]byte, bool, er
 	within := start % c.chunkBytes
 
 	// Failed fetches are not cached: the next request retries upstream.
-	res, _, err := c.chunks.Do(chunkKey{name: name, num: cnum}, func() (chunk, error) {
+	res, err := c.chunks.Do(chunkKey{name: name, num: cnum}, func() (chunk, error) {
 		data, more, err := c.upstream.Block(name, cnum, c.chunkBytes)
 		if err == nil {
 			c.fills.Add(1)

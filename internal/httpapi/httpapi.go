@@ -77,9 +77,10 @@ func Errorf(w http.ResponseWriter, status int, code, format string, args ...any)
 // slash-separated; a segment written {name} matches any single
 // non-empty segment and is exposed as r.PathValue(name).
 type route struct {
-	method string
-	segs   []string
-	h      http.Handler
+	method  string
+	pattern string
+	segs    []string
+	h       http.Handler
 }
 
 func (rt *route) match(segs []string) bool {
@@ -123,7 +124,7 @@ func (t *Table) Handle(method, pattern string, h http.Handler) {
 			panic(fmt.Sprintf("httpapi: duplicate route %s %s", method, pattern))
 		}
 	}
-	t.routes = append(t.routes, route{method: method, segs: segs, h: h})
+	t.routes = append(t.routes, route{method: method, pattern: pattern, segs: segs, h: h})
 }
 
 // HandleFunc is Handle for a plain handler function.
@@ -141,7 +142,9 @@ func splitPath(p string) []string {
 
 // ServeHTTP implements http.Handler: exact-or-wildcard match, enveloped
 // 404 for unknown paths, 405 with an Allow header when the path exists
-// under other methods.
+// under other methods. A matched request's r.Pattern is the route's
+// registered pattern, as http.ServeMux sets it; unmatched requests
+// leave it empty.
 func (t *Table) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	segs := splitPath(r.URL.Path)
 	var allowed []string
@@ -159,6 +162,7 @@ func (t *Table) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				r.SetPathValue(p[1:len(p)-1], segs[j])
 			}
 		}
+		r.Pattern = rt.pattern
 		rt.h.ServeHTTP(w, r)
 		return
 	}

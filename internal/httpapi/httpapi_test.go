@@ -21,7 +21,7 @@ func newTestTable() *Table {
 		WriteJSON(w, http.StatusCreated, body)
 	})
 	t.HandleFunc(http.MethodGet, "/api/v1/things/{id}", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id")})
+		WriteJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id"), "pattern": r.Pattern})
 	})
 	t.HandleFunc(http.MethodGet, "/api/v1/things/{id}/parts/{part}", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id"), "part": r.PathValue("part")})
@@ -66,6 +66,9 @@ func TestTableRoutesAndParams(t *testing.T) {
 	rec := do(t, table, http.MethodGet, "/api/v1/things/42", "")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"id":"42"`) {
 		t.Fatalf("param route: %d %s", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(rec.Body.String(), `"pattern":"/api/v1/things/{id}"`) {
+		t.Fatalf("r.Pattern is not the matched route's pattern: %s", rec.Body.String())
 	}
 	rec = do(t, table, http.MethodGet, "/api/v1/things/a7/parts/cpu", "")
 	if !strings.Contains(rec.Body.String(), `"part":"cpu"`) {

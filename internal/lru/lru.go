@@ -158,21 +158,21 @@ func (c *Cache[K, V]) removeLocked(e *entry[K, V]) {
 // Do returns the value stored under key, or else calls fill at most
 // once across concurrent callers of key: the others wait for its result.
 // A successful fill is stored; a failed one is not, and the next caller
-// fills again. hit reports that the value was already stored.
-func (c *Cache[K, V]) Do(key K, fill func() (V, error)) (val V, hit bool, err error) {
+// fills again.
+func (c *Cache[K, V]) Do(key K, fill func() (V, error)) (V, error) {
 	c.mu.Lock()
 	if e, ok := c.items[key]; ok {
 		c.hits++
 		c.touchLocked(e)
-		val = e.val
+		val := e.val
 		c.mu.Unlock()
-		return val, true, nil
+		return val, nil
 	}
 	if cl, ok := c.calls[key]; ok {
 		c.waits++
 		c.mu.Unlock()
 		<-cl.done
-		return cl.val, false, cl.err
+		return cl.val, cl.err
 	}
 	c.misses++
 	cl := &call[V]{done: make(chan struct{})}
@@ -188,7 +188,7 @@ func (c *Cache[K, V]) Do(key K, fill func() (V, error)) (val V, hit bool, err er
 	}
 	c.mu.Unlock()
 	close(cl.done)
-	return cl.val, false, cl.err
+	return cl.val, cl.err
 }
 
 // Walk calls fn on every entry stored at the time of the call, least

@@ -65,9 +65,9 @@ func TestZeroBoundStoresNothing(t *testing.T) {
 	}
 	fills := 0
 	for range 3 {
-		v, hit, err := c.Do(2, func() (string, error) { fills++; return "y", nil })
-		if v != "y" || hit || err != nil {
-			t.Fatalf("Do = %q, %v, %v", v, hit, err)
+		v, err := c.Do(2, func() (string, error) { fills++; return "y", nil })
+		if v != "y" || err != nil {
+			t.Fatalf("Do = %q, %v", v, err)
 		}
 	}
 	if st := c.Stats(); fills != 3 || st.Entries != 0 || st.Hits != 0 || st.Misses != 4 {
@@ -78,16 +78,16 @@ func TestZeroBoundStoresNothing(t *testing.T) {
 func TestDoStoresOnlySuccessfulFills(t *testing.T) {
 	c := New[int, string](100, byLen)
 	boom := errors.New("upstream down")
-	if _, _, err := c.Do(1, func() (string, error) { return "", boom }); !errors.Is(err, boom) {
+	if _, err := c.Do(1, func() (string, error) { return "", boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the fill's", err)
 	}
-	v, hit, err := c.Do(1, func() (string, error) { return "ok", nil })
-	if v != "ok" || hit || err != nil {
-		t.Fatalf("retry after a failed fill: %q, %v, %v", v, hit, err)
+	v, err := c.Do(1, func() (string, error) { return "ok", nil })
+	if st := c.Stats(); v != "ok" || err != nil || st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("retry after a failed fill: %q, %v, stats %+v", v, err, st)
 	}
-	v, hit, _ = c.Do(1, func() (string, error) { t.Fatal("filled a stored key"); return "", nil })
-	if v != "ok" || !hit {
-		t.Fatalf("stored value: %q, hit=%v", v, hit)
+	v, _ = c.Do(1, func() (string, error) { t.Fatal("filled a stored key"); return "", nil })
+	if st := c.Stats(); v != "ok" || st.Hits != 1 {
+		t.Fatalf("stored value: %q, stats %+v", v, st)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestDoSingleflight(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if v, _, err := c.Do(7, fill); v != "shared" || err != nil {
+				if v, err := c.Do(7, fill); v != "shared" || err != nil {
 					t.Errorf("Do = %q, %v", v, err)
 				}
 			}()

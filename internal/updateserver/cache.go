@@ -147,12 +147,11 @@ func newPatchCache(maxBytes int, disk *PatchStore) *patchCache {
 // resolve returns the differential payload from base to target, whose
 // digests are baseDig and targetDig, computing it at most once across
 // concurrent callers: memory tier, then the durable tier under key,
-// then bsdiff+LZSS. resident reports that the memory tier already held
-// it, which tells the patch farm a no-op from work. Callers must not
-// mutate the returned patch — clone before handing it out.
-func (c *patchCache) resolve(key patchKey, baseDig, targetDig security.Digest, base, target []byte) (res patchResult, resident bool) {
+// then bsdiff+LZSS. Callers must not mutate the returned patch — clone
+// before handing it out.
+func (c *patchCache) resolve(key patchKey, baseDig, targetDig security.Digest, base, target []byte) patchResult {
 	computed := false
-	res, resident, _ = c.mem.Do(digestPair{baseDig, targetDig}, func() (patchResult, error) {
+	res, _ := c.mem.Do(digestPair{baseDig, targetDig}, func() (patchResult, error) {
 		if c.disk != nil {
 			if res, ok := c.disk.Get(key, baseDig, targetDig); ok {
 				c.diskHits.Add(1)
@@ -171,7 +170,7 @@ func (c *patchCache) resolve(key patchKey, baseDig, targetDig security.Digest, b
 		// of this one patch.
 		_ = c.disk.Put(key, baseDig, targetDig, res)
 	}
-	return res, resident
+	return res
 }
 
 // dropSuperseded removes the cached patches from every earlier release

@@ -112,7 +112,8 @@ func TestPublishInvalidatesCachedPatches(t *testing.T) {
 // TestInflightDiffSurvivesPublish holds the leader's diff across a
 // Publish: the patch is keyed by the firmware digests it was computed
 // from, so it is memoised when it lands and the next request for the
-// pair hits.
+// pair hits. The Publish re-releases v2's firmware as v3, so a second
+// device asking from v1 after it needs the same digest pair.
 func TestInflightDiffSurvivesPublish(t *testing.T) {
 	s := newServers(t)
 	v1, v2 := firmwarePair(20 * 1024)
@@ -134,20 +135,18 @@ func TestInflightDiffSurvivesPublish(t *testing.T) {
 		done <- err
 	}()
 	<-entered
-	v3 := bytes.Clone(v2)
-	copy(v3[100:], []byte("v3 edit"))
-	s.publish(t, 1, 3, v3)
+	s.publish(t, 1, 3, bytes.Clone(v2))
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := s.update.WarmPatch(1, 1, 2)
+	u, err := s.update.PrepareUpdate(1, manifest.DeviceToken{DeviceID: 2, Nonce: 2, CurrentVersion: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.update.Stats(); !res.AlreadyResident || st.Computations != 1 || st.Hits != 1 {
-		t.Fatalf("second request for v1→v2: resident=%v, stats %+v; want a hit on the one computation", res.AlreadyResident, st)
+	if st := s.update.Stats(); !u.Differential || st.Computations != 1 || st.Hits != 1 {
+		t.Fatalf("second request for the pair: differential=%v, stats %+v; want a hit on the one computation", u.Differential, st)
 	}
 }
 

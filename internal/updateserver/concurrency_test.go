@@ -226,10 +226,10 @@ func buildRelease(appID uint32, v uint16) vendorserver.Release {
 
 // TestStressStoreUnderFullConcurrency is the whole-server stress test:
 // publishers (pruning to a retention bound on every publish),
-// preparing devices, and subscriber churn all run at once against the sharded store (run with -race, as
-// CI does). Afterwards: no published release may be lost (up to
-// retention), every reader must have observed a monotonically
-// non-decreasing Latest, and no subscriber may leak.
+// preparing devices, and subscriber churn all run at once against the
+// store (run with -race, as CI does). Afterwards: no published release
+// may be lost (up to retention), every reader must have observed a
+// monotonically non-decreasing Latest, and no subscriber may leak.
 func TestStressStoreUnderFullConcurrency(t *testing.T) {
 	s := newServers(t, WithRetention(5))
 	const (

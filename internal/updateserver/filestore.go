@@ -38,9 +38,9 @@ import (
 //     every publish: a release pruned before a crash is never served
 //     after it.
 //
-// Reads are served from an embedded sharded MemStore rebuilt at
-// startup, so the request hot path is identical to the in-memory
-// backend; only Publish and Prune touch the disk.
+// Reads are served from an embedded MemStore rebuilt at startup, so
+// the request hot path is identical to the in-memory backend; only
+// Publish and Prune touch the disk.
 type FileStore struct {
 	dir string
 	mem *MemStore
@@ -81,7 +81,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 	}
 	s := &FileStore{
 		dir:  dir,
-		mem:  NewMemStore(DefaultStoreShards),
+		mem:  NewMemStore(),
 		logs: make(map[uint32]*appLog),
 	}
 	start := time.Now()

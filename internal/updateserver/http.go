@@ -107,7 +107,9 @@ type publishedJSON struct {
 // Handler returns the HTTP handler exposing the server's API: one
 // httpapi.Table carrying the update/publish endpoints plus any route
 // sets mounted via WithRoutes (the campaign control plane). Every
-// request is counted in upkit_http_requests_total{path,code}.
+// request is counted in upkit_http_requests_total{path,code}, where
+// path is the matched route's pattern, or "other" when no route
+// matched, so the series count is bounded by the route table.
 func (s *Server) Handler() http.Handler {
 	t := httpapi.NewTable()
 	t.HandleFunc(http.MethodGet, "/api/v1/version", s.handleHTTPVersion)
@@ -149,8 +151,12 @@ func (s *Server) countRequests(next http.Handler) http.Handler {
 		if rec.code == 0 {
 			rec.code = http.StatusOK
 		}
+		path := r.Pattern
+		if path == "" {
+			path = "other"
+		}
 		s.tel.Counter("upkit_http_requests_total", "HTTP API requests by path and status code.",
-			telemetry.L("path", r.URL.Path),
+			telemetry.L("path", path),
 			telemetry.L("code", strconv.Itoa(rec.code))).Inc()
 	})
 }

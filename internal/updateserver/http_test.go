@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -473,5 +474,81 @@ func TestHTTPErrorsUseEnvelope(t *testing.T) {
 	}
 	if env := decodeErrorEnvelope(t, resp); env.Error.Code != httpapi.CodeNotFound {
 		t.Fatalf("code = %q, want %q", env.Error.Code, httpapi.CodeNotFound)
+	}
+	// No patch-farm admin route is mounted.
+	resp, err = http.Post(ts.URL+"/api/v1/patchfarm/warm", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /api/v1/patchfarm/warm: %d, want 404", resp.StatusCode)
+	}
+	if env := decodeErrorEnvelope(t, resp); env.Error.Code != httpapi.CodeNotFound {
+		t.Fatalf("code = %q, want %q", env.Error.Code, httpapi.CodeNotFound)
+	}
+}
+
+// TestHTTPRequestCounterCardinalityBounded: upkit_http_requests_total
+// is labelled with the matched route pattern, or "other" when nothing
+// matched, so neither unknown paths nor wildcard routes (one series per
+// device ID otherwise) grow the series set.
+func TestHTTPRequestCounterCardinalityBounded(t *testing.T) {
+	s := newServers(t, WithRoutes(func(tab *httpapi.Table) {
+		tab.HandleFunc(http.MethodGet, "/api/v1/campaigns/{id}/devices/{dev}", func(w http.ResponseWriter, r *http.Request) {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]string{"dev": r.PathValue("dev")})
+		})
+	}))
+	h := s.update.Handler()
+	serve := func(path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	// series maps each upkit_http_requests_total series to its count.
+	series := func() map[string]string {
+		var buf bytes.Buffer
+		if err := s.update.Telemetry().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "upkit_http_requests_total{") {
+				out[name] = value
+			}
+		}
+		return out
+	}
+	before := series()
+	for i := range 500 {
+		if code := serve(fmt.Sprintf("/api/v1/unknown-%d", i)); code != http.StatusNotFound {
+			t.Fatalf("unknown path: %d, want 404", code)
+		}
+	}
+	for i := range 50 {
+		if code := serve(fmt.Sprintf("/api/v1/campaigns/c%d/devices/%d", i, i)); code != http.StatusOK {
+			t.Fatalf("wildcard route: %d, want 200", code)
+		}
+	}
+	after := series()
+	added := make(map[string]int) // new series per status code
+	for name := range after {
+		if _, ok := before[name]; !ok {
+			_, code, _ := strings.Cut(name, `code="`)
+			code, _, _ = strings.Cut(code, `"`)
+			added[code]++
+		}
+	}
+	for code, n := range added {
+		if n > 2 {
+			t.Errorf("status %s gained %d series, want at most 2", code, n)
+		}
+	}
+	for name, want := range map[string]string{
+		`upkit_http_requests_total{code="404",path="other"}`:                                "500",
+		`upkit_http_requests_total{code="200",path="/api/v1/campaigns/{id}/devices/{dev}"}`: "50",
+	} {
+		if after[name] != want {
+			t.Errorf("%s = %q, want %s", name, after[name], want)
+		}
 	}
 }

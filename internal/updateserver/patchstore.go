@@ -14,11 +14,11 @@ import (
 )
 
 // PatchStore is the durable tier behind the in-memory patch cache:
-// every differential payload the server computes (on demand or via the
-// patch farm) is appended to a framelog.Log, so a restarted server
-// serves warm patches without redoing a single bsdiff. A Put is fsynced
-// before the patch becomes visible to Get, replay truncates a torn
-// tail, and dead records are compacted away under framelog's rule.
+// every differential payload the server computes is appended to a
+// framelog.Log, so a restarted server serves warm patches without
+// redoing a single bsdiff. A Put is fsynced before the patch becomes
+// visible to Get, replay truncates a torn tail, and dead records are
+// compacted away under framelog's rule.
 //
 // On-disk format, one file (`patches.log`) of framelog records with
 // magic "UPPD", in write order, whose payload is (big endian):
@@ -224,8 +224,8 @@ func (s *PatchStore) compactLocked() {
 	}
 }
 
-// PatchStoreStats is a snapshot of the store's counters, exposed via
-// the patch-farm stats endpoint.
+// PatchStoreStats is a snapshot of the store's counters; its sizes are
+// exposed as the upkit_patch_store_* gauges.
 type PatchStoreStats struct {
 	// Hits and Misses count Get lookups; Puts counts persisted results.
 	Hits   uint64 `json:"hits"`

@@ -16,11 +16,11 @@ import (
 // does — token binding, diffing, signing, announcing — is a stateless
 // pipeline over that set. ReleaseStore cuts the seam the SUIT
 // architecture draws between the "firmware repository" and the party
-// that serves devices, so the repository can evolve independently:
-// sharded in memory for read-mostly request floods (MemStore), or
-// backed by per-app record logs that survive a server restart
-// (FileStore) — which is what lets a restarted server re-serve the
-// exact bytes a device's reception journal checkpointed against.
+// that serves devices, so the repository can evolve independently: in
+// memory (MemStore), or backed by per-app record logs that survive a
+// server restart (FileStore) — which is what lets a restarted server
+// re-serve the exact bytes a device's reception journal checkpointed
+// against.
 
 // ReleaseStore is the release repository behind an update server.
 // Implementations must be safe for concurrent use; images handed in
@@ -64,42 +64,17 @@ type StoreStats struct {
 	TornTails int `json:"tornTails"`
 }
 
-// DefaultStoreShards is the shard count of the in-memory store a
-// Server creates when no WithStore/WithShards option is given.
-const DefaultStoreShards = 16
-
-// MemStore is the sharded in-memory ReleaseStore: releases are
-// partitioned by app across shards, each guarded by its own RWMutex,
-// so the read-mostly request hot path (Latest/ByVersion) never
-// serializes on one global lock.
+// MemStore is the in-memory ReleaseStore: every app's releases behind
+// one RWMutex, so the read-mostly request hot path (Latest/ByVersion)
+// takes only read locks.
 type MemStore struct {
-	shards []memShard
-}
-
-type memShard struct {
 	mu   sync.RWMutex
 	apps map[uint32][]*vendorserver.Image // per app, sorted by version
 }
 
-// NewMemStore creates an in-memory store with the given shard count;
-// n <= 0 selects DefaultStoreShards.
-func NewMemStore(n int) *MemStore {
-	if n <= 0 {
-		n = DefaultStoreShards
-	}
-	s := &MemStore{shards: make([]memShard, n)}
-	for i := range s.shards {
-		s.shards[i].apps = make(map[uint32][]*vendorserver.Image)
-	}
-	return s
-}
-
-// shard maps an app to its shard. The Fibonacci multiplier spreads
-// sequential or stride-patterned app IDs evenly.
-func (s *MemStore) shard(appID uint32) *memShard {
-	h := appID * 0x9E3779B1
-	h ^= h >> 16
-	return &s.shards[h%uint32(len(s.shards))]
+// NewMemStore creates an empty in-memory store.
+func NewMemStore() *MemStore {
+	return &MemStore{apps: make(map[uint32][]*vendorserver.Image)}
 }
 
 // Publish implements ReleaseStore.
@@ -108,23 +83,21 @@ func (s *MemStore) Publish(img *vendorserver.Image) error {
 		return errors.New("updateserver: nil image")
 	}
 	appID := img.Manifest.AppID
-	sh := s.shard(appID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	list := sh.apps[appID]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	list := s.apps[appID]
 	if n := len(list); n > 0 && img.Manifest.Version <= list[n-1].Manifest.Version {
 		return fmt.Errorf("%w: v%d after v%d", ErrStaleVersion, img.Manifest.Version, list[n-1].Manifest.Version)
 	}
-	sh.apps[appID] = append(list, img)
+	s.apps[appID] = append(list, img)
 	return nil
 }
 
 // Latest implements ReleaseStore.
 func (s *MemStore) Latest(appID uint32) (*vendorserver.Image, bool) {
-	sh := s.shard(appID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	list := sh.apps[appID]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	list := s.apps[appID]
 	if len(list) == 0 {
 		return nil, false
 	}
@@ -133,24 +106,22 @@ func (s *MemStore) Latest(appID uint32) (*vendorserver.Image, bool) {
 
 // ByVersion implements ReleaseStore.
 func (s *MemStore) ByVersion(appID uint32, v uint16) (*vendorserver.Image, bool) {
-	sh := s.shard(appID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	img := lookupVersion(sh.apps[appID], v)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	img := lookupVersion(s.apps[appID], v)
 	return img, img != nil
 }
 
 // pruneApp trims one app's history to its newest n releases, reporting
 // whether anything was dropped.
 func (s *MemStore) pruneApp(appID uint32, n int) bool {
-	sh := s.shard(appID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	list := sh.apps[appID]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	list := s.apps[appID]
 	if n <= 0 || len(list) <= n {
 		return false
 	}
-	sh.apps[appID] = append([]*vendorserver.Image{}, list[len(list)-n:]...)
+	s.apps[appID] = append([]*vendorserver.Image{}, list[len(list)-n:]...)
 	return true
 }
 
@@ -170,46 +141,39 @@ func (s *MemStore) Prune(n int) []uint32 {
 
 // Apps implements ReleaseStore.
 func (s *MemStore) Apps() []uint32 {
+	s.mu.RLock()
 	var apps []uint32
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for app := range sh.apps {
-			if len(sh.apps[app]) > 0 {
-				apps = append(apps, app)
-			}
+	for app, list := range s.apps {
+		if len(list) > 0 {
+			apps = append(apps, app)
 		}
-		sh.mu.RUnlock()
 	}
+	s.mu.RUnlock()
 	sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
 	return apps
 }
 
 // Snapshot implements ReleaseStore.
 func (s *MemStore) Snapshot(appID uint32) []*vendorserver.Image {
-	sh := s.shard(appID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]*vendorserver.Image{}, sh.apps[appID]...)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return append([]*vendorserver.Image{}, s.apps[appID]...)
 }
 
 // Stats implements ReleaseStore.
 func (s *MemStore) Stats() StoreStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var st StoreStats
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, list := range sh.apps {
-			if len(list) == 0 {
-				continue
-			}
-			st.Apps++
-			st.Releases += len(list)
-			for _, img := range list {
-				st.Bytes += len(img.Firmware)
-			}
+	for _, list := range s.apps {
+		if len(list) == 0 {
+			continue
 		}
-		sh.mu.RUnlock()
+		st.Apps++
+		st.Releases += len(list)
+		for _, img := range list {
+			st.Bytes += len(img.Firmware)
+		}
 	}
 	return st
 }

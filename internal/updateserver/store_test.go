@@ -29,7 +29,7 @@ func newVendor(t testing.TB) *vendorserver.Server {
 
 func TestMemStorePublishLatestByVersion(t *testing.T) {
 	vendor := newVendor(t)
-	st := NewMemStore(4)
+	st := NewMemStore()
 	if _, ok := st.Latest(1); ok {
 		t.Fatal("Latest on empty store must report !ok")
 	}
@@ -56,7 +56,7 @@ func TestMemStorePublishLatestByVersion(t *testing.T) {
 
 func TestMemStoreRejectsStaleAndNil(t *testing.T) {
 	vendor := newVendor(t)
-	st := NewMemStore(0) // default shard count
+	st := NewMemStore()
 	if err := st.Publish(nil); err == nil {
 		t.Fatal("nil image accepted")
 	}
@@ -77,7 +77,7 @@ func TestMemStoreRejectsStaleAndNil(t *testing.T) {
 
 func TestMemStorePrune(t *testing.T) {
 	vendor := newVendor(t)
-	st := NewMemStore(4)
+	st := NewMemStore()
 	for v := uint16(1); v <= 5; v++ {
 		if err := st.Publish(buildImage(t, vendor, 1, v, []byte{byte(v)})); err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestMemStorePrune(t *testing.T) {
 
 func TestMemStoreAppsSnapshotStats(t *testing.T) {
 	vendor := newVendor(t)
-	st := NewMemStore(4)
+	st := NewMemStore()
 	apps := []uint32{7, 3, 0x2A}
 	for _, app := range apps {
 		for v := uint16(1); v <= 2; v++ {
@@ -142,23 +142,18 @@ func TestMemStoreAppsSnapshotStats(t *testing.T) {
 
 func TestMemStoreShardDistribution(t *testing.T) {
 	vendor := newVendor(t)
-	st := NewMemStore(8)
-	// Sequential app IDs — the worst case for a naive modulo if they
-	// shared a stride — must land on more than a couple of shards.
-	used := make(map[*memShard]bool)
+	st := NewMemStore()
+	// The store is one map behind one lock; what the former shard
+	// mapping had to guarantee still holds: many sequential app IDs
+	// stay reachable and counted.
 	for app := uint32(1); app <= 32; app++ {
 		if err := st.Publish(buildImage(t, vendor, app, 1, []byte("fw"))); err != nil {
 			t.Fatal(err)
 		}
-		used[st.shard(app)] = true
 	}
-	if len(used) < 4 {
-		t.Fatalf("32 sequential apps landed on only %d of 8 shards", len(used))
-	}
-	// Every app must remain reachable through its shard mapping.
 	for app := uint32(1); app <= 32; app++ {
 		if _, ok := st.Latest(app); !ok {
-			t.Fatalf("app %d lost after sharded publish", app)
+			t.Fatalf("app %d lost after publish", app)
 		}
 	}
 	if got := st.Stats().Apps; got != 32 {
@@ -167,20 +162,25 @@ func TestMemStoreShardDistribution(t *testing.T) {
 }
 
 func TestServerWithShardsOption(t *testing.T) {
+	// The shard option is gone: with no store option the server builds
+	// one unsharded *MemStore and publishes into it.
 	suite := security.NewTinyCrypt()
-	s := New(suite, security.MustGenerateKey("shard-opt"), WithShards(2))
+	s := New(suite, security.MustGenerateKey("shard-opt"))
 	ms, ok := s.Store().(*MemStore)
 	if !ok {
 		t.Fatalf("default store = %T, want *MemStore", s.Store())
 	}
-	if len(ms.shards) != 2 {
-		t.Fatalf("shards = %d, want 2", len(ms.shards))
+	if err := s.Publish(buildImage(t, newVendor(t), 1, 1, []byte("fw"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ms.Latest(1); !ok {
+		t.Fatal("publish did not reach the default store")
 	}
 }
 
 func TestServerWithStoreOption(t *testing.T) {
 	suite := security.NewTinyCrypt()
-	st := NewMemStore(1)
+	st := NewMemStore()
 	s := New(suite, security.MustGenerateKey("store-opt"), WithStore(st))
 	if s.Store() != ReleaseStore(st) {
 		t.Fatal("WithStore ignored")

@@ -11,8 +11,8 @@
 // request, independent of transport security.
 //
 // The server itself is a stateless prepare pipeline: all release state
-// lives behind the ReleaseStore interface (sharded in-memory by
-// default, durable on disk via FileStore), and announcements fan out
+// lives behind the ReleaseStore interface (in memory by default,
+// durable on disk via FileStore), and announcements fan out
 // through an announce.Bus — so the repository and the notification
 // plane can each be swapped or shared without touching the pipeline.
 package updateserver
@@ -101,10 +101,6 @@ type Server struct {
 	// retain bounds stored releases per app; 0 keeps everything.
 	retain int
 
-	// shards configures the default in-memory store's shard count;
-	// ignored when WithStore injects a backend.
-	shards int
-
 	// cache memoises differential payloads per firmware digest pair
 	// with singleflight dedup; see cache.go. It has its own lock and is
 	// independent of the store's locks. cacheBytes holds
@@ -116,10 +112,6 @@ type Server struct {
 	// cache (WithPatchStore); the cache holds the same pointer. The
 	// injector keeps ownership and closes it on shutdown.
 	patchStore *PatchStore
-
-	// pairs tracks the (app, fromVersion) population behind observed
-	// differential requests — the census the patch farm warms from.
-	pairs pairTracker
 
 	// signers, when non-nil, is the bounded parallel signing pool
 	// (WithSigners); nil signs inline on the request goroutine.
@@ -136,9 +128,9 @@ type Server struct {
 	blocks     *dist.Registry
 	privBlocks *dist.Registry
 
-	// tel is never nil: New attaches a private registry unless
-	// WithTelemetry injects a shared one. met holds the pre-resolved
-	// handles for the request hot path.
+	// tel is the server's metrics registry, created by New; deployment
+	// components that share the scrape report into it via Telemetry.
+	// met holds the pre-resolved handles for the request hot path.
 	tel *telemetry.Registry
 	met serverMetrics
 
@@ -168,24 +160,6 @@ type Option func(*Server)
 // DefaultPatchCacheBytes.
 func WithPatchCacheSize(n int) Option {
 	return func(s *Server) { s.cacheBytes = n }
-}
-
-// WithBlockStoreSize bounds the named-block registry to n bytes
-// (DefaultRegistryBytes when unset). The registry keeps prepared
-// payloads addressable by content name for the block serve path; the
-// LRU bound never drops the most recently prepared payload, so the
-// origin can always serve what it just signed.
-func WithBlockStoreSize(n int) Option {
-	return func(s *Server) { s.blocks = dist.NewRegistry(n) }
-}
-
-// WithPrivateBlockStoreSize bounds the registry of per-device
-// encrypted payloads to n bytes (DefaultPrivateRegistryBytes when
-// unset). Encrypted prepares produce a fresh, never-shared name per
-// device, so they live in their own small LRU instead of churning the
-// fleet-shared block registry.
-func WithPrivateBlockStoreSize(n int) Option {
-	return func(s *Server) { s.privBlocks = dist.NewRegistry(n) }
 }
 
 // WithPatchStore attaches a durable patch store behind the in-memory
@@ -222,24 +196,13 @@ func WithRetention(n int) Option {
 	return func(s *Server) { s.retain = n }
 }
 
-// WithStore backs the server with st instead of the default sharded
-// in-memory store. Pass a FileStore to make published releases survive
+// WithStore backs the server with st instead of the default in-memory
+// store. Pass a FileStore to make published releases survive
 // a server restart.
 func WithStore(st ReleaseStore) Option {
 	return func(s *Server) {
 		if st != nil {
 			s.store = st
-		}
-	}
-}
-
-// WithShards sets the shard count of the default in-memory store
-// (DefaultStoreShards when unset). It has no effect when WithStore
-// injects a backend.
-func WithShards(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.shards = n
 		}
 	}
 }
@@ -252,18 +215,6 @@ func WithRoutes(register func(*httpapi.Table)) Option {
 	return func(s *Server) {
 		if register != nil {
 			s.mounts = append(s.mounts, register)
-		}
-	}
-}
-
-// WithTelemetry attaches a shared metrics registry. Every deployment
-// component given the same registry contributes to one scrape (GET
-// /api/v1/metrics) and one span tracer; without this option the server
-// creates a private registry, so telemetry is always on.
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(s *Server) {
-		if reg != nil {
-			s.tel = reg
 		}
 	}
 }
@@ -296,16 +247,6 @@ func (s *Server) BlockSource() dist.Source {
 // WithPatchStore, or nil.
 func (s *Server) PatchStore() *PatchStore { return s.patchStore }
 
-// Mount registers an additional route set onto the server's HTTP route
-// table after construction — the post-construction twin of WithRoutes,
-// for components (like the patch farm) that need the Server to exist
-// before they can be built. Call before Handler.
-func (s *Server) Mount(register func(*httpapi.Table)) {
-	if register != nil {
-		s.mounts = append(s.mounts, register)
-	}
-}
-
 // Close stops the server's background machinery — today the parallel
 // signing pool, when WithSigners armed one. Injected stores (release
 // store, patch store) are owned by whoever opened them and are not
@@ -319,8 +260,8 @@ func (s *Server) Close() error {
 }
 
 // Telemetry returns the server's metrics registry (never nil). Shared
-// deployments inject one registry via WithTelemetry so transports,
-// agents, and campaigns land in the same scrape.
+// deployments hand it to transports, agents, and campaigns so they
+// land in the same scrape (GET /api/v1/metrics).
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 
 // New creates an update server signing with key under suite, applying
@@ -330,7 +271,8 @@ func New(suite security.Suite, key *security.PrivateKey, opts ...Option) *Server
 		suite:      suite,
 		key:        key,
 		bus:        announce.New[Announcement](announce.DefaultBuffer),
-		shards:     DefaultStoreShards,
+		blocks:     dist.NewRegistry(0),
+		privBlocks: dist.NewRegistry(privateRegistryBytes),
 		tel:        telemetry.NewRegistry(),
 		cacheBytes: DefaultPatchCacheBytes,
 	}
@@ -339,18 +281,12 @@ func New(suite security.Suite, key *security.PrivateKey, opts ...Option) *Server
 	}
 	s.cache = newPatchCache(s.cacheBytes, s.patchStore)
 	if s.store == nil {
-		s.store = NewMemStore(s.shards)
+		s.store = NewMemStore()
 	}
 	// A durable store replays releases pruned before a restart; apply
 	// the bound once so none of them is ever served again.
 	if s.retain > 0 {
 		s.store.Prune(s.retain)
-	}
-	if s.blocks == nil {
-		s.blocks = dist.NewRegistry(0)
-	}
-	if s.privBlocks == nil {
-		s.privBlocks = dist.NewRegistry(DefaultPrivateRegistryBytes)
 	}
 	if s.signerCount != 0 {
 		s.signers = newSignerPool(suite, s.signerCount)
@@ -359,11 +295,10 @@ func New(suite security.Suite, key *security.PrivateKey, opts ...Option) *Server
 	return s
 }
 
-// DefaultPrivateRegistryBytes bounds the per-device encrypted payload
-// registry unless WithPrivateBlockStoreSize overrides it. It only
-// needs to cover payloads between prepare and transfer, not a fleet
-// working set.
-const DefaultPrivateRegistryBytes = 4 << 20
+// privateRegistryBytes bounds the per-device encrypted payload
+// registry. It only needs to cover payloads between prepare and
+// transfer, not a fleet working set.
+const privateRegistryBytes = 4 << 20
 
 // initTelemetry resolves the hot-path handles and bridges the patch
 // cache's and the release store's own counters onto the registry,
@@ -596,7 +531,6 @@ func (s *Server) PrepareUpdate(appID uint32, tok manifest.DeviceToken) (*Update,
 	u := &Update{}
 	var plain []byte // borrowed reference; never returned to the caller
 	if base != nil {
-		s.pairs.record(appID, tok.CurrentVersion)
 		// The patch depends only on the version pair, not on the device:
 		// serve it from the cache, computing at most once per pair even
 		// under a thundering herd (see cache.go). A patch at least as
@@ -604,7 +538,7 @@ func (s *Server) PrepareUpdate(appID uint32, tok manifest.DeviceToken) (*Update,
 		// that verdict too and we fall back to the full image (the
 		// manifest then says so).
 		pk := patchKey{appID: appID, from: tok.CurrentVersion, to: latest.Manifest.Version}
-		res, _ := s.cache.resolve(pk, base.Manifest.FirmwareDigest, latest.Manifest.FirmwareDigest,
+		res := s.cache.resolve(pk, base.Manifest.FirmwareDigest, latest.Manifest.FirmwareDigest,
 			base.Firmware, latest.Firmware)
 		if res.viable {
 			m.OldVersion = tok.CurrentVersion
