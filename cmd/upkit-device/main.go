@@ -50,7 +50,6 @@ func run() error {
 	mode := flag.String("mode", "static", "slot configuration: static or ab")
 	suiteName := flag.String("suite", "tinycrypt", "crypto suite")
 	diff := flag.Bool("differential", true, "advertise differential-update support")
-	blocks := flag.Bool("blocks", true, "transfer the payload as content-addressed named blocks (cacheable by upkit-proxy)")
 	state := flag.String("state", "", "optional directory persisting the device's flash across runs")
 	flag.Parse()
 
@@ -116,13 +115,11 @@ func run() error {
 		return err
 	}
 	defer ex.Close()
-	client := &coap.PullClient{Ex: ex, Agent: dev.Agent, AppID: uint32(*appID)}
-	if *blocks {
-		// Content-addressed transfer: the payload arrives as named
-		// blocks, which any upkit-proxy between here and the origin can
-		// cache for the rest of the wave.
-		client.Sources = []coap.BlockSource{{Name: "server", Ex: ex}}
-	}
+	// Content-addressed transfer: the payload arrives as named blocks,
+	// which any upkit-proxy between here and the origin can cache for
+	// the rest of the wave.
+	client := &coap.PullClient{Ex: ex, Agent: dev.Agent, AppID: uint32(*appID),
+		Sources: []coap.BlockSource{{Name: "server", Ex: ex}}}
 
 	latest, err := client.Poll()
 	if err != nil {

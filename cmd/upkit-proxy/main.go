@@ -54,7 +54,6 @@ func run() error {
 	listen := flag.String("listen", "127.0.0.1:5684", "UDP address to serve CoAP on")
 	origin := flag.String("origin", "", "UDP address of the origin update server (required)")
 	cacheKiB := flag.Int("cache", 0, "block cache size in KiB (0 = default)")
-	chunk := flag.Int("chunk", 0, "cached chunk size in bytes, a power of two ≤ 1024 (0 = default)")
 	httpAddr := flag.String("http", "", "optional TCP address for the /metrics scrape")
 	instance := flag.String("instance", "", "proxy=<instance> label on exported metrics")
 	flag.Parse()
@@ -70,10 +69,9 @@ func run() error {
 
 	tel := telemetry.NewRegistry()
 	cache := proxy.NewCache(up, proxy.CacheOptions{
-		MaxBytes:   *cacheKiB * 1024,
-		ChunkBytes: *chunk,
-		Telemetry:  tel,
-		Instance:   *instance,
+		MaxBytes:  *cacheKiB * 1024,
+		Telemetry: tel,
+		Instance:  *instance,
 	})
 
 	srv, err := coap.ListenUDP(*listen, cache.Handle)

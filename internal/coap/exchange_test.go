@@ -79,7 +79,7 @@ func blockFixture() (payload []byte, name dist.Name, ex *coap.LinkExchanger) {
 // chunk cached before it.
 func TestExchangerSourceBlocksOutliveTheExchange(t *testing.T) {
 	payload, name, ex := blockFixture()
-	cache := dist.NewCachingSource(&coap.ExchangerSource{Ex: ex}, 0, 0)
+	cache := dist.NewCachingSource(&coap.ExchangerSource{Ex: ex}, 0)
 	for _, num := range []uint32{0, 1, 0} { // fill, fill, then chunk 0 from the cache
 		data, _, err := cache.Block(name, num, dist.DefaultChunkBytes)
 		if err != nil {

@@ -17,8 +17,8 @@ import (
 // exactly one upstream fetch while the rest wait on its result — a
 // 1k-device wave costs one origin fetch per block.
 //
-// Internally the cache stores canonical chunks of ChunkBytes (1024 by
-// default, the largest Block2 size) and carves requested blocks out of
+// Internally the cache stores canonical chunks of DefaultChunkBytes
+// (1024, the largest Block2 size) and carves requested blocks out of
 // them: every RFC 7959 block size divides 1024, so any requested block
 // lies within one chunk, and devices pulling 64-byte radio blocks share
 // chunks with proxies pulling 1024-byte ones.
@@ -73,9 +73,8 @@ func (c chunk) size() int { return len(c.data) + chunkOverhead }
 // It is safe for concurrent use; upstream fetches run outside the
 // cache lock.
 type CachingSource struct {
-	upstream   Source
-	chunkBytes int
-	chunks     *lru.Cache[chunkKey, chunk]
+	upstream Source
+	chunks   *lru.Cache[chunkKey, chunk]
 
 	// bypassed counts requests that skip the cache; fills counts
 	// successful upstream chunk fetches.
@@ -83,20 +82,14 @@ type CachingSource struct {
 }
 
 // NewCachingSource creates a cache over upstream bounded to maxBytes
-// (<= 0 selects DefaultCacheBytes) with canonical chunks of chunkBytes
-// (<= 0 selects DefaultChunkBytes; must be a multiple of every block
-// size it will serve).
-func NewCachingSource(upstream Source, maxBytes, chunkBytes int) *CachingSource {
+// (<= 0 selects DefaultCacheBytes).
+func NewCachingSource(upstream Source, maxBytes int) *CachingSource {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	if chunkBytes <= 0 {
-		chunkBytes = DefaultChunkBytes
-	}
 	return &CachingSource{
-		upstream:   upstream,
-		chunkBytes: chunkBytes,
-		chunks:     lru.New[chunkKey, chunk](maxBytes, chunk.size),
+		upstream: upstream,
+		chunks:   lru.New[chunkKey, chunk](maxBytes, chunk.size),
 	}
 }
 
@@ -107,18 +100,18 @@ func (c *CachingSource) Block(name Name, num uint32, size int) ([]byte, bool, er
 	if size <= 0 {
 		return nil, false, fmt.Errorf("dist: invalid block size %d", size)
 	}
-	if size > c.chunkBytes || c.chunkBytes%size != 0 {
+	if size > DefaultChunkBytes || DefaultChunkBytes%size != 0 {
 		c.bypassed.Add(1)
 		return c.upstream.Block(name, num, size)
 	}
 	// The requested block lies entirely within one canonical chunk.
 	start := int(num) * size
-	cnum := uint32(start / c.chunkBytes)
-	within := start % c.chunkBytes
+	cnum := uint32(start / DefaultChunkBytes)
+	within := start % DefaultChunkBytes
 
 	// Failed fetches are not cached: the next request retries upstream.
 	res, err := c.chunks.Do(chunkKey{name: name, num: cnum}, func() (chunk, error) {
-		data, more, err := c.upstream.Block(name, cnum, c.chunkBytes)
+		data, more, err := c.upstream.Block(name, cnum, DefaultChunkBytes)
 		if err == nil {
 			c.fills.Add(1)
 		}

@@ -147,7 +147,7 @@ func TestCachingSourceServesAllSZXSizes(t *testing.T) {
 	}
 	reg := NewRegistry(0)
 	name := reg.Put(payload)
-	cs := NewCachingSource(reg, 0, 0)
+	cs := NewCachingSource(reg, 0)
 
 	for _, size := range []int{16, 64, 512, 1024} {
 		var got []byte
@@ -180,7 +180,7 @@ func TestCachingSourceSingleflight(t *testing.T) {
 	reg := NewRegistry(0)
 	name := reg.Put(payload)
 	upstream := &countingSource{inner: reg}
-	cs := NewCachingSource(upstream, 0, 0)
+	cs := NewCachingSource(upstream, 0)
 
 	const devices = 50
 	var wg sync.WaitGroup
@@ -217,7 +217,7 @@ func TestCachingSourceSingleflight(t *testing.T) {
 
 func TestCachingSourceDoesNotCacheErrors(t *testing.T) {
 	reg := NewRegistry(0)
-	cs := NewCachingSource(reg, 0, 0)
+	cs := NewCachingSource(reg, 0)
 	ghost := NameOf([]byte("not registered yet"))
 	if _, _, err := cs.Block(ghost, 0, 64); !errors.Is(err, ErrUnknownName) {
 		t.Fatalf("miss on empty upstream: %v, want ErrUnknownName", err)
@@ -232,7 +232,7 @@ func TestCachingSourceEvicts(t *testing.T) {
 	payload := make([]byte, 8*DefaultChunkBytes)
 	reg := NewRegistry(0)
 	name := reg.Put(payload)
-	cs := NewCachingSource(reg, 2*(DefaultChunkBytes+chunkOverhead), 0)
+	cs := NewCachingSource(reg, 2*(DefaultChunkBytes+chunkOverhead))
 	for num := uint32(0); num < 8; num++ {
 		if _, _, err := cs.Block(name, num, 1024); err != nil {
 			t.Fatalf("block %d: %v", num, err)
@@ -251,8 +251,9 @@ func TestCachingSourceBypassesOddSizes(t *testing.T) {
 	payload := make([]byte, 300)
 	reg := NewRegistry(0)
 	name := reg.Put(payload)
-	cs := NewCachingSource(reg, 0, 256)
-	// 96 does not divide 256: served straight from upstream, not cached.
+	cs := NewCachingSource(reg, 0)
+	// 96 does not divide the 1 KiB chunk: served straight from upstream,
+	// not cached.
 	data, more, err := cs.Block(name, 0, 96)
 	if err != nil || len(data) != 96 || !more {
 		t.Fatalf("bypass block: %d bytes, more=%v, err=%v", len(data), more, err)

@@ -25,9 +25,6 @@ import (
 type CacheOptions struct {
 	// MaxBytes bounds the block cache (dist.DefaultCacheBytes when 0).
 	MaxBytes int
-	// ChunkBytes sets the canonical cached-chunk size
-	// (dist.DefaultChunkBytes when 0).
-	ChunkBytes int
 	// Telemetry, when set, exports the cache's counters as
 	// upkit_cache_{hit,miss,fill}_total plus entry/byte gauges.
 	Telemetry *telemetry.Registry
@@ -49,7 +46,7 @@ type Cache struct {
 func NewCache(origin coap.Exchanger, opts CacheOptions) *Cache {
 	c := &Cache{
 		origin: origin,
-		src:    dist.NewCachingSource(&coap.ExchangerSource{Ex: origin}, opts.MaxBytes, opts.ChunkBytes),
+		src:    dist.NewCachingSource(&coap.ExchangerSource{Ex: origin}, opts.MaxBytes),
 	}
 	c.blocks = coap.BlockServer{Source: c.src}
 	if reg := opts.Telemetry; reg != nil {
