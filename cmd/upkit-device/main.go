@@ -56,10 +56,6 @@ func run() error {
 	if *vendorPub == "" || *serverPub == "" || *factory == "" {
 		return fmt.Errorf("need -vendor-pub, -server-pub, and -factory")
 	}
-	suite, err := security.SuiteByName(*suiteName, nil)
-	if err != nil {
-		return err
-	}
 	keys, err := loadKeys(*vendorPub, *serverPub)
 	if err != nil {
 		return err
@@ -68,21 +64,7 @@ func run() error {
 	if *mode == "ab" {
 		bootMode = bootloader.ModeAB
 	}
-
-	dev, err := device.New(device.Options{
-		Name:                "upkit-device",
-		MCU:                 platform.NRF52840(),
-		Mode:                bootMode,
-		SlotBytes:           platform.BuildSlotBytes(platform.Pull),
-		Suite:               suite,
-		Keys:                keys,
-		DeviceID:            uint32(*deviceID),
-		AppID:               uint32(*appID),
-		SupportDifferential: *diff,
-		NonceSeed:           fmt.Sprintf("upkit-device-%d", os.Getpid()),
-		RebootTime:          device.DefaultRebootTime,
-		JumpTime:            device.DefaultJumpTime,
-	})
+	dev, err := newDevice(*suiteName, keys, bootMode, uint32(*deviceID), uint32(*appID), *diff)
 	if err != nil {
 		return err
 	}
@@ -153,6 +135,38 @@ func run() error {
 		dev.Clock.Now().Seconds())
 	fmt.Printf("energy: %s\n", dev.Meter)
 	return nil
+}
+
+// newDevice builds the simulated device. The CryptoAuthLib suite
+// verifies only against keys sealed in its HSM, so the vendor and
+// server keys go into slots 0 and 1 before the suite is built.
+func newDevice(suiteName string, keys verifier.Keys, mode bootloader.Mode,
+	deviceID, appID uint32, diff bool) (*device.Device, error) {
+	hsm := security.NewHSM()
+	if err := hsm.Provision(0, keys.Vendor, true); err != nil {
+		return nil, err
+	}
+	if err := hsm.Provision(1, keys.Server, true); err != nil {
+		return nil, err
+	}
+	suite, err := security.SuiteByName(suiteName, hsm)
+	if err != nil {
+		return nil, err
+	}
+	return device.New(device.Options{
+		Name:                "upkit-device",
+		MCU:                 platform.NRF52840(),
+		Mode:                mode,
+		SlotBytes:           platform.BuildSlotBytes(platform.Pull),
+		Suite:               suite,
+		Keys:                keys,
+		DeviceID:            deviceID,
+		AppID:               appID,
+		SupportDifferential: diff,
+		NonceSeed:           fmt.Sprintf("upkit-device-%d", os.Getpid()),
+		RebootTime:          device.DefaultRebootTime,
+		JumpTime:            device.DefaultJumpTime,
+	})
 }
 
 func loadKeys(vendorPath, serverPath string) (verifier.Keys, error) {

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"upkit/internal/bootloader"
 	"upkit/internal/security"
+	"upkit/internal/vendorserver"
 )
 
 func TestLoadKeys(t *testing.T) {
@@ -45,5 +48,64 @@ func TestLoadKeysErrors(t *testing.T) {
 	}
 	if _, err := loadKeys(good, bad); err == nil {
 		t.Error("malformed server key accepted")
+	}
+}
+
+// TestCryptoAuthLibDeviceBootsFactoryImage sets up a device with the
+// HSM-backed suite from key files, the way run does, and boots a
+// factory image signed for it. The suite verifies only against keys
+// sealed in the HSM, so a device whose HSM holds no keys rejects even
+// its factory image.
+func TestCryptoAuthLibDeviceBootsFactoryImage(t *testing.T) {
+	dir := t.TempDir()
+	vendorKey := security.MustGenerateKey("dev-hsm-vendor")
+	serverKey := security.MustGenerateKey("dev-hsm-server")
+	vPath := filepath.Join(dir, "vendor.pub")
+	sPath := filepath.Join(dir, "server.pub")
+	if err := os.WriteFile(vPath, security.EncodePublicKey(vendorKey.Public()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sPath, security.EncodePublicKey(serverKey.Public()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The factory image, as upkit-sign release + provision write it.
+	const deviceID, appID = 0xD0D0CAFE, 0x2A
+	signing := security.NewTinyCrypt()
+	img, err := vendorserver.New(signing, vendorKey).BuildImage(vendorserver.Release{
+		AppID: appID, Version: 1, LinkOffset: 0xFFFFFFFF,
+		Firmware: bytes.Repeat([]byte("hsm-factory-fw"), 1024),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := img.Manifest
+	m.DeviceID = deviceID
+	m.Nonce = 0xFAC70000
+	if err := m.SignServer(signing, serverKey); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := filepath.Join(dir, "v1.factory.upk")
+	if err := os.WriteFile(factory, append(enc, img.Firmware...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	keys, err := loadKeys(vPath, sPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := newDevice("cryptoauthlib", keys, bootloader.ModeStatic, deviceID, appID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := provision(dev, factory); err != nil {
+		t.Fatalf("boot factory image: %v", err)
+	}
+	if v := dev.RunningVersion(); v != 1 {
+		t.Fatalf("running v%d, want v1", v)
 	}
 }

@@ -175,22 +175,8 @@ func run() error {
 		fmt.Printf("key bundle %s: %d record(s), revocation list: %v\n",
 			*keysPath, len(kb.Records), kb.Revocation != nil)
 	}
-	// A short-lived subscription around the publish loop echoes what
-	// watchers will see; it must be released afterwards or it would sit
-	// in the server's subscriber list for the whole process lifetime.
-	announcements := server.Subscribe()
 	if err := publishImages(server, images, os.Stdout); err != nil {
 		return err
-	}
-	server.Unsubscribe(announcements)
-	for {
-		select {
-		case ann := <-announcements:
-			fmt.Printf("announced app %#x v%d\n", ann.AppID, ann.Version)
-			continue
-		default:
-		}
-		break
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -293,15 +293,11 @@ func inspectSUIT(args []string) error {
 	}
 	fmt.Print(suit.Diagnostic(data))
 	if *pubPath != "" {
-		pubData, err := os.ReadFile(*pubPath)
+		pub, err := readPublicKey(*pubPath)
 		if err != nil {
 			return err
 		}
-		pub, err := security.DecodePublicKey(pubData)
-		if err != nil {
-			return err
-		}
-		cryptoSuite, err := security.SuiteByName(*suiteName, nil)
+		cryptoSuite, err := suiteWithKeys(*suiteName, pub, nil)
 		if err != nil {
 			return err
 		}
@@ -338,7 +334,18 @@ func inspect(args []string) error {
 		return err
 	}
 	fw := data[manifest.EncodedSize:]
-	suite, err := security.SuiteByName(*suiteName, nil)
+	var vendor, server *security.PublicKey
+	if *vendorPub != "" {
+		if vendor, err = readPublicKey(*vendorPub); err != nil {
+			return err
+		}
+	}
+	if *serverPub != "" {
+		if server, err = readPublicKey(*serverPub); err != nil {
+			return err
+		}
+	}
+	suite, err := suiteWithKeys(*suiteName, vendor, server)
 	if err != nil {
 		return err
 	}
@@ -358,29 +365,39 @@ func inspect(args []string) error {
 		got := suite.Digest(fw)
 		fmt.Printf("  digest check %v\n", got == m.FirmwareDigest)
 	}
-	if *vendorPub != "" {
-		pubData, err := os.ReadFile(*vendorPub)
-		if err != nil {
-			return err
-		}
-		pub, err := security.DecodePublicKey(pubData)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  vendor sig   %v\n", m.VerifyVendorSig(suite, pub))
+	if vendor != nil {
+		fmt.Printf("  vendor sig   %v\n", m.VerifyVendorSig(suite, vendor))
 	}
-	if *serverPub != "" {
-		pubData, err := os.ReadFile(*serverPub)
-		if err != nil {
-			return err
-		}
-		pub, err := security.DecodePublicKey(pubData)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  server sig   %v\n", m.VerifyServerSig(suite, pub))
+	if server != nil {
+		fmt.Printf("  server sig   %v\n", m.VerifyServerSig(suite, server))
 	}
 	return nil
+}
+
+// readPublicKey reads a public key file.
+func readPublicKey(path string) (*security.PublicKey, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return security.DecodePublicKey(data)
+}
+
+// suiteWithKeys builds the named suite for verifying against the given
+// keys. The CryptoAuthLib suite verifies only against keys sealed in
+// its HSM, so the vendor and server keys go into slots 0 and 1, as on a
+// device; nil keys leave their slot empty.
+func suiteWithKeys(name string, vendor, server *security.PublicKey) (security.Suite, error) {
+	hsm := security.NewHSM()
+	for slot, key := range []*security.PublicKey{vendor, server} {
+		if key == nil {
+			continue
+		}
+		if err := hsm.Provision(slot, key, true); err != nil {
+			return nil, err
+		}
+	}
+	return security.SuiteByName(name, hsm)
 }
 
 // parseRole maps the CLI role name to the wire enum.

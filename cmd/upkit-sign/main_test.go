@@ -8,6 +8,7 @@ import (
 	"upkit/internal/manifest"
 	"upkit/internal/security"
 	"upkit/internal/suit"
+	"upkit/internal/vendorserver"
 )
 
 // runIn executes the tool's run() with the working directory set to dir.
@@ -213,5 +214,38 @@ func TestRotationWorkflow(t *testing.T) {
 	eks := security.NewKeystore(suite, evil.Public(), nil)
 	if _, err := eks.ApplyBundle(bundleData); err == nil {
 		t.Fatal("bundle accepted under the wrong root")
+	}
+}
+
+// TestInspectSuiteVerifiesWithHSM pins the key wiring of inspect: the
+// CryptoAuthLib suite verifies only against keys sealed in its HSM, so
+// the keys inspect was given must be in it.
+func TestInspectSuiteVerifiesWithHSM(t *testing.T) {
+	vendorKey := security.MustGenerateKey("inspect-hsm-vendor")
+	serverKey := security.MustGenerateKey("inspect-hsm-server")
+	signing := security.NewTinyCrypt()
+	img, err := vendorserver.New(signing, vendorKey).BuildImage(vendorserver.Release{
+		AppID: 0x2A, Version: 1, LinkOffset: 0xFFFFFFFF, Firmware: []byte("inspect-hsm-fw"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := img.Manifest
+	if err := m.SignServer(signing, serverKey); err != nil {
+		t.Fatal(err)
+	}
+	suite, err := suiteWithKeys("cryptoauthlib", vendorKey.Public(), serverKey.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.VerifyVendorSig(suite, vendorKey.Public()) || !m.VerifyServerSig(suite, serverKey.Public()) {
+		t.Fatal("HSM suite rejected valid signatures from the keys it holds")
+	}
+	empty, err := suiteWithKeys("cryptoauthlib", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.VerifyVendorSig(empty, vendorKey.Public()) {
+		t.Fatal("HSM suite verified against a key it does not hold")
 	}
 }

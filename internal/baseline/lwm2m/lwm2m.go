@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"upkit/internal/baseline/mcumgr"
-	"upkit/internal/manifest"
 	"upkit/internal/updateserver"
 	"upkit/internal/vendorserver"
 )
@@ -96,10 +95,4 @@ func wireImage(img *vendorserver.Image) ([]byte, error) {
 	out = append(out, enc...)
 	out = append(out, img.Firmware...)
 	return out, nil
-}
-
-// WireSize reports the transfer size of an image, for the propagation
-// energy comparison.
-func WireSize(img *vendorserver.Image) int {
-	return manifest.EncodedSize + len(img.Firmware)
 }

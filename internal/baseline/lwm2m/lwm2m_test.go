@@ -149,7 +149,11 @@ func TestCompromisedGatewayDowngrades(t *testing.T) {
 func TestWireSize(t *testing.T) {
 	r := newRig(t)
 	img := r.publish(t, 2, make([]byte, 1000))
-	if got := WireSize(img); got != 1000+manifest.EncodedSize {
-		t.Fatalf("WireSize = %d, want %d", got, 1000+manifest.EncodedSize)
+	wire, err := wireImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(wire); got != 1000+manifest.EncodedSize {
+		t.Fatalf("wire image = %d bytes, want %d", got, 1000+manifest.EncodedSize)
 	}
 }

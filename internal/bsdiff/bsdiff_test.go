@@ -112,22 +112,6 @@ func TestPatchCompressesWellWithLZSS(t *testing.T) {
 	}
 }
 
-func TestPatchSizes(t *testing.T) {
-	old := []byte("0123456789")
-	new := []byte("0123456789AB")
-	patch := Diff(old, new)
-	o, n, err := PatchSizes(patch)
-	if err != nil {
-		t.Fatalf("PatchSizes: %v", err)
-	}
-	if o != len(old) || n != len(new) {
-		t.Fatalf("PatchSizes = (%d,%d), want (%d,%d)", o, n, len(old), len(new))
-	}
-	if _, _, err := PatchSizes([]byte("short")); !errors.Is(err, ErrBadPatchHeader) {
-		t.Fatalf("PatchSizes(short) error = %v, want ErrBadPatchHeader", err)
-	}
-}
-
 func TestApplierStreamingChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	old := make([]byte, 20000)
@@ -158,22 +142,26 @@ func TestApplierStreamingChunks(t *testing.T) {
 	}
 }
 
+// TestApplierNewSize checks that the new size declared in the patch
+// header, not the end of input, decides when the applier is done.
 func TestApplierNewSize(t *testing.T) {
 	old := []byte("aaaa")
 	new := []byte("aaaabbbb")
 	patch := Diff(old, new)
 	a := NewApplier(bytes.NewReader(old))
-	if got := a.NewSize(); got != -1 {
-		t.Fatalf("NewSize before header = %d, want -1", got)
-	}
-	if err := a.Feed(patch, func([]byte) error { return nil }); err != nil {
+	var out []byte
+	emit := func(p []byte) error { out = append(out, p...); return nil }
+	if err := a.Feed(patch[:len(patch)-1], emit); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.NewSize(); got != len(new) {
-		t.Fatalf("NewSize = %d, want %d", got, len(new))
+	if a.Done() {
+		t.Fatal("applier done before the declared new size was produced")
 	}
-	if !a.Done() {
-		t.Fatal("applier should be done")
+	if err := a.Feed(patch[len(patch)-1:], emit); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Done() || !bytes.Equal(out, new) {
+		t.Fatalf("done=%v with %q, want done with %q", a.Done(), out, new)
 	}
 }
 

@@ -53,17 +53,6 @@ func (w *patchWriter) writeRecord(diff, extra []byte, seek int) {
 	w.buf.Write(extra)
 }
 
-// PatchSizes reads the old and new image sizes from an encoded patch
-// without applying it.
-func PatchSizes(patch []byte) (oldSize, newSize int, err error) {
-	if len(patch) < patchHeaderSize || string(patch[:len(patchMagic)]) != patchMagic {
-		return 0, 0, ErrBadPatchHeader
-	}
-	oldSize = int(binary.BigEndian.Uint32(patch[len(patchMagic):]))
-	newSize = int(binary.BigEndian.Uint32(patch[len(patchMagic)+4:]))
-	return oldSize, newSize, nil
-}
-
 // applierState enumerates what the Applier expects next.
 type applierState int
 
@@ -104,15 +93,6 @@ type Applier struct {
 // NewApplier returns an applier that reads old-image bytes from old.
 func NewApplier(old io.ReaderAt) *Applier {
 	return &Applier{old: old, state: applierHeader, oldBuf: make([]byte, 4096)}
-}
-
-// NewSize reports the declared output size, or -1 before the header has
-// been received.
-func (a *Applier) NewSize() int {
-	if a.state == applierHeader {
-		return -1
-	}
-	return a.newSize
 }
 
 // Done reports whether the full new image has been produced.

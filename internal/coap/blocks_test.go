@@ -236,7 +236,7 @@ func TestPullClientFailsOverFromDeadSource(t *testing.T) {
 	if n := log.Count(events.KindSourceFailover); n != 1 {
 		t.Fatalf("%d source-failover events, want 1 (peer to origin)", n)
 	}
-	if ev, _ := log.Last(events.KindSourceFailover); ev.Version != 2 {
+	if ev, _ := lastEvent(log, events.KindSourceFailover); ev.Version != 2 {
 		t.Fatalf("source-failover event carries v%d, want the manifest's v2", ev.Version)
 	}
 }
@@ -514,4 +514,14 @@ func runningFirmware(t *testing.T, b *testbed.Bed) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// lastEvent returns the most recent retained event of kind, or ok=false.
+func lastEvent(l *events.Log, kind events.Kind) (ev events.Event, ok bool) {
+	for _, e := range l.Events() {
+		if e.Kind == kind {
+			ev, ok = e, true
+		}
+	}
+	return ev, ok
 }

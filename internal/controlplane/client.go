@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"upkit/internal/httpapi"
 )
@@ -131,27 +130,4 @@ func (c *Client) DeviceHistory(id string, device uint32) ([]Attempt, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// WaitTerminal polls Get every interval (default 50ms) until the
-// campaign leaves StateRunning, returning the final status. poll, if
-// non-nil, observes every intermediate status — live progress for a
-// caller that wants to print it.
-func (c *Client) WaitTerminal(id string, interval time.Duration, poll func(*Status)) (*Status, error) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	for {
-		st, err := c.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		if st.State != StateRunning {
-			return st, nil
-		}
-		if poll != nil {
-			poll(st)
-		}
-		time.Sleep(interval)
-	}
 }

@@ -94,12 +94,12 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Census names the device population a campaign rolls over: a
-// registered source plus its parameters. Sources must be deterministic
-// in their parameters — resume-after-restart rebuilds the fleet from
-// the census and applies the checkpoint's cursors to it.
+// Census names the device population a campaign rolls over: a source
+// plus its parameters. The source must be deterministic in its
+// parameters — resume-after-restart rebuilds the fleet from the census
+// and applies the checkpoint's cursors to it.
 type Census struct {
-	// Source is the registered source name; "sim" is built in.
+	// Source names the census source; "sim" is the only one.
 	Source string `json:"source"`
 	// Devices is the fleet size.
 	Devices int `json:"devices"`
@@ -110,9 +110,6 @@ type Census struct {
 	// time in nanoseconds.
 	SimLatencyNS int64 `json:"sim_latency_ns,omitempty"`
 }
-
-// Source builds a census's device fleet.
-type Source func(Census) ([]fleet.Updater, error)
 
 // CreateRequest is the body of POST /api/v1/campaigns.
 type CreateRequest struct {
@@ -180,11 +177,10 @@ type campaign struct {
 type Manager struct {
 	cfg Config
 
-	mu      sync.Mutex
-	camps   map[string]*campaign
-	seq     int
-	sources map[string]Source
-	closed  bool
+	mu     sync.Mutex
+	camps  map[string]*campaign
+	seq    int
+	closed bool
 }
 
 // NewManager opens a manager rooted at cfg.Dir (creating it if
@@ -194,11 +190,9 @@ type Manager struct {
 func NewManager(cfg Config) (*Manager, error) {
 	cfg.applyDefaults()
 	m := &Manager{
-		cfg:     cfg,
-		camps:   make(map[string]*campaign),
-		sources: make(map[string]Source),
+		cfg:   cfg,
+		camps: make(map[string]*campaign),
 	}
-	m.sources["sim"] = simSource
 	if cfg.Dir == "" {
 		return m, nil
 	}
@@ -221,22 +215,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// RegisterSource adds a census source under name; registering a
-// built-in or already-registered name panics (a silently shadowed
-// census would resume against the wrong fleet).
-func (m *Manager) RegisterSource(name string, src Source) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.sources[name]; ok {
-		panic("controlplane: duplicate census source " + name)
-	}
-	m.sources[name] = src
-}
-
-// simSource is the built-in synthetic census.
-func simSource(c Census) ([]fleet.Updater, error) {
-	return simdev.Build(c.Devices, c.FailRate, time.Duration(c.SimLatencyNS)), nil
-}
+// simSource is the synthetic census, the only source.
+const simSource = "sim"
 
 // metaName renders a campaign's meta file name.
 func metaName(id string) string { return id + ".json" }
@@ -321,8 +301,7 @@ func (m *Manager) Create(req CreateRequest) (*Status, error) {
 		m.mu.Unlock()
 		return nil, ErrManagerClosed
 	}
-	src, ok := m.sources[req.Census.Source]
-	if !ok {
+	if req.Census.Source != simSource {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("controlplane: unknown census source %q", req.Census.Source)
 	}
@@ -350,7 +329,7 @@ func (m *Manager) Create(req CreateRequest) (*Status, error) {
 	// becomes visible: a census or policy the fleet rejects must fail
 	// the create, not leave a stillborn resource behind. (The reserved
 	// ID is burnt on failure, which only costs a gap in the sequence.)
-	if _, err := m.buildFleet(src, c, nil); err != nil {
+	if _, err := c.buildFleet(nil); err != nil {
 		c.hist.close()
 		if c.m.cfg.Dir != "" {
 			os.Remove(m.histPath(id))
@@ -372,7 +351,7 @@ func (m *Manager) Create(req CreateRequest) (*Status, error) {
 		return nil, err
 	}
 	if !req.Paused {
-		if err := c.startLocked(src); err != nil {
+		if err := c.startLocked(); err != nil {
 			return nil, err
 		}
 	}
@@ -381,15 +360,9 @@ func (m *Manager) Create(req CreateRequest) (*Status, error) {
 
 // buildFleet turns a campaign definition into a runnable
 // fleet.Campaign, wiring the history hook and restoring cp if given.
-func (m *Manager) buildFleet(src Source, c *campaign, cp *fleet.Checkpoint) (*fleet.Campaign, error) {
-	ups, err := src(c.meta.Census)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: census %q: %w", c.meta.Census.Source, err)
-	}
-	if len(ups) != c.meta.Census.Devices {
-		return nil, fmt.Errorf("controlplane: census %q built %d devices, wants %d",
-			c.meta.Census.Source, len(ups), c.meta.Census.Devices)
-	}
+func (c *campaign) buildFleet(cp *fleet.Checkpoint) (*fleet.Campaign, error) {
+	cen := c.meta.Census
+	ups := simdev.Build(cen.Devices, cen.FailRate, time.Duration(cen.SimLatencyNS))
 	pol := c.meta.Policy
 	// Per-device records would be O(fleet) in the report; the control
 	// plane streams them into the history log instead.
@@ -508,10 +481,9 @@ func (m *Manager) Resume(id string) (*Status, error) {
 		m.mu.Unlock()
 		return nil, ErrManagerClosed
 	}
-	src := m.sources[c.meta.Census.Source]
 	m.mu.Unlock()
-	if src == nil {
-		return nil, fmt.Errorf("controlplane: census source %q is not registered", c.meta.Census.Source)
+	if c.meta.Census.Source != simSource {
+		return nil, fmt.Errorf("controlplane: unknown census source %q", c.meta.Census.Source)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -523,7 +495,7 @@ func (m *Manager) Resume(id string) (*Status, error) {
 	if c.running {
 		return nil, fleet.ErrAlreadyRunning
 	}
-	if err := c.startLocked(src); err != nil {
+	if err := c.startLocked(); err != nil {
 		return nil, err
 	}
 	return c.statusLocked(), nil
@@ -574,8 +546,8 @@ func (m *Manager) Close() error {
 }
 
 // startLocked launches a run; c.mu must be held.
-func (c *campaign) startLocked(src Source) error {
-	fc, err := c.m.buildFleet(src, c, c.meta.Checkpoint)
+func (c *campaign) startLocked() error {
+	fc, err := c.buildFleet(c.meta.Checkpoint)
 	if err != nil {
 		return err
 	}

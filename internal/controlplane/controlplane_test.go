@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"os"
@@ -79,7 +80,7 @@ func TestLifecycleOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bst, err = cb.WaitTerminal(bst.ID, time.Millisecond, nil)
+	bst, err = waitTerminal(cb, bst.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestLifecycleOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err = c2.WaitTerminal(id, time.Millisecond, nil)
+	st, err = waitTerminal(c2, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +244,63 @@ func TestCreateRejectsBadDefinitions(t *testing.T) {
 	}
 }
 
+func TestResumeRejectsUnknownPersistedSource(t *testing.T) {
+	// The meta file is outside input too: a persisted campaign whose
+	// census names an unknown source must fail Resume cleanly, leaving
+	// the campaign where it was and dispatching no device.
+	dir := t.TempDir()
+	m1, err := NewManager(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m1.Create(CreateRequest{Target: 2, Census: Census{Source: "sim", Devices: 10}, Paused: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, metaName(st.ID))
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mt meta
+	if err := json.Unmarshal(blob, &mt); err != nil {
+		t.Fatal(err)
+	}
+	mt.Census.Source = "warehouse-42"
+	if blob, err = json.Marshal(mt); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManager(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if _, err := m2.Resume(st.ID); err == nil {
+		t.Fatal("Resume accepted an unknown census source")
+	}
+	got, err := m2.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StatePending || got.Progress.Updated+got.Progress.Failed != 0 {
+		t.Fatalf("after refused resume: state %s, progress %+v", got.State, got.Progress)
+	}
+	hist, err := m2.DeviceHistory(st.ID, simdev.IDBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist) != 0 {
+		t.Fatalf("refused resume dispatched a device: %+v", hist)
+	}
+}
+
 func TestLifecycleConflicts(t *testing.T) {
 	m, err := NewManager(Config{})
 	if err != nil {
@@ -260,7 +318,7 @@ func TestLifecycleConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err = c.WaitTerminal(st.ID, time.Millisecond, nil)
+	st, err = waitTerminal(c, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +367,7 @@ func TestPendingCreateAndAbort(t *testing.T) {
 		if _, err := c.Resume(st.ID); err != nil {
 			t.Fatal(err)
 		}
-		if st, err = c.WaitTerminal(st.ID, time.Millisecond, nil); err != nil {
+		if st, err = waitTerminal(c, st.ID); err != nil {
 			t.Fatal(err)
 		}
 		if st.State != StateCompleted || st.Progress.Pending != 0 {
@@ -329,7 +387,7 @@ func TestHistoryDisabledPastBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err = c.WaitTerminal(st.ID, time.Millisecond, nil); err != nil {
+	if _, err = waitTerminal(c, st.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.DeviceHistory(st.ID, simdev.IDBase); err == nil {
@@ -461,5 +519,17 @@ func TestLegacyHistoryReplays(t *testing.T) {
 	}
 	if fi, _ := os.Stat(path); fi.Size() >= int64(len(data)) {
 		t.Fatalf("torn tail not truncated: %d of %d bytes", fi.Size(), len(data))
+	}
+}
+
+// waitTerminal polls c until the campaign leaves StateRunning and
+// returns its final status.
+func waitTerminal(c *Client, id string) (*Status, error) {
+	for {
+		st, err := c.Get(id)
+		if err != nil || st.State != StateRunning {
+			return st, err
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -132,11 +132,6 @@ type Device struct {
 	secVer     *slot.SecurityCounter
 	running    *slot.Slot
 	reboots    int
-
-	// chargedErases/chargedWrites track flash activity already charged
-	// to the energy meter by EnergyReport.
-	chargedErases int
-	chargedWrites int
 }
 
 // New builds a device per opts. The internal flash layout is
@@ -510,25 +505,4 @@ func (d *Device) Manifest() *manifest.Manifest {
 		return nil
 	}
 	return m
-}
-
-// EnergyReport charges the accumulated flash activity to the energy
-// meter and returns the total microjoules spent so far. Radio, CPU,
-// and reboot costs accrue continuously; flash is integrated here from
-// the chips' operation counters.
-func (d *Device) EnergyReport() float64 {
-	stats := d.Internal.Stats()
-	if d.External != nil {
-		ext := d.External.Stats()
-		stats.SectorErases += ext.SectorErases
-		stats.BytesWritten += ext.BytesWritten
-	}
-	newErases := stats.SectorErases - d.chargedErases
-	newKB := float64(stats.BytesWritten-d.chargedWrites) / 1024
-	if newErases > 0 || newKB > 0 {
-		d.Meter.ChargeFlash(newErases, newKB)
-		d.chargedErases = stats.SectorErases
-		d.chargedWrites = stats.BytesWritten
-	}
-	return d.Meter.TotalUJ()
 }

@@ -153,32 +153,3 @@ func TestManifestOfRunningImage(t *testing.T) {
 		t.Fatalf("manifest = %+v, want v1", m)
 	}
 }
-
-func TestEnergyReportIntegratesFlash(t *testing.T) {
-	b, err := testbed.New(testbed.Options{Seed: "energy-report"}, testbed.MakeFirmware("er-v1", 32*1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total1 := b.Device.EnergyReport()
-	if total1 <= 0 {
-		t.Fatal("no energy recorded after factory provisioning")
-	}
-	if b.Device.Meter.Component(energy.Flash) <= 0 {
-		t.Fatal("flash energy not integrated")
-	}
-	// Calling again without activity must not double-charge.
-	total2 := b.Device.EnergyReport()
-	if total2 != total1 {
-		t.Fatalf("idle EnergyReport changed total: %f -> %f", total1, total2)
-	}
-	// More flash activity raises the total.
-	if err := b.PublishVersion(2, testbed.MakeFirmware("er-v2", 32*1024)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.PullUpdate(); err != nil {
-		t.Fatal(err)
-	}
-	if total3 := b.Device.EnergyReport(); total3 <= total2 {
-		t.Fatalf("EnergyReport did not grow after an update: %f -> %f", total2, total3)
-	}
-}

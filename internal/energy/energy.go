@@ -1,11 +1,11 @@
 // Package energy models the energy consumption of a constrained IoT
 // device during an update, in the spirit of the paper's
-// energy-efficiency arguments (§I, §VI): radio-on time dominates, flash
-// erases are expensive, and unnecessary reboots waste the whole boot
-// current budget.
+// energy-efficiency arguments (§I, §VI): radio-on time dominates, and
+// unnecessary reboots waste the whole boot current budget.
 //
-// The meter integrates power over virtual time per component. It is an
-// accounting layer only — correctness never depends on it.
+// The meter integrates radio power over virtual time and charges a
+// fixed cost per reboot. It is an accounting layer only — correctness
+// never depends on it.
 package energy
 
 import (
@@ -22,8 +22,6 @@ type Component string
 // Standard components.
 const (
 	Radio Component = "radio"
-	CPU   Component = "cpu"
-	Flash Component = "flash"
 	Boot  Component = "boot" // reboot overhead (peripheral reinit, network rejoin)
 )
 
@@ -32,26 +30,17 @@ const (
 type Profile struct {
 	// RadioMW is the radio power while transmitting/receiving.
 	RadioMW float64
-	// CPUActiveMW is the core power while computing (crypto, patching).
-	CPUActiveMW float64
-	// FlashEraseUJ is the fixed energy per sector erase.
-	FlashEraseUJ float64
-	// FlashProgramUJPerKB is the energy per KiB programmed.
-	FlashProgramUJPerKB float64
 	// RebootUJ is the fixed energy cost of a reboot (peripheral
 	// reinitialisation and network re-association).
 	RebootUJ float64
 }
 
 // NRF52840Profile returns datasheet-flavoured constants for the
-// nRF52840 (radio ~16 mA TX at 3 V, CPU ~6 mA at 64 MHz).
+// nRF52840 (radio ~16 mA TX at 3 V).
 func NRF52840Profile() Profile {
 	return Profile{
-		RadioMW:             48,
-		CPUActiveMW:         18,
-		FlashEraseUJ:        85,
-		FlashProgramUJPerKB: 40,
-		RebootUJ:            250_000, // ≈ rejoining an 802.15.4/BLE network
+		RadioMW:  48,
+		RebootUJ: 250_000, // ≈ rejoining an 802.15.4/BLE network
 	}
 }
 
@@ -82,17 +71,6 @@ func (m *Meter) ChargeRadio(d time.Duration) {
 	m.add(Radio, m.profile.RadioMW*d.Seconds()*1000)
 }
 
-// ChargeCPU records active CPU time d.
-func (m *Meter) ChargeCPU(d time.Duration) {
-	m.add(CPU, m.profile.CPUActiveMW*d.Seconds()*1000)
-}
-
-// ChargeFlash records flash activity: erases sector erases and kb
-// kibibytes programmed.
-func (m *Meter) ChargeFlash(erases int, kb float64) {
-	m.add(Flash, float64(erases)*m.profile.FlashEraseUJ+kb*m.profile.FlashProgramUJPerKB)
-}
-
 // ChargeReboot records one reboot.
 func (m *Meter) ChargeReboot() {
 	m.add(Boot, m.profile.RebootUJ)
@@ -103,17 +81,6 @@ func (m *Meter) Component(c Component) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.uj[c]
-}
-
-// TotalUJ reports the total energy across components, in microjoules.
-func (m *Meter) TotalUJ() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum float64
-	for _, e := range m.uj {
-		sum += e
-	}
-	return sum
 }
 
 // Snapshot returns a copy of all component accumulators.

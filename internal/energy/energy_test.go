@@ -9,11 +9,8 @@ import (
 
 func testProfile() Profile {
 	return Profile{
-		RadioMW:             50,
-		CPUActiveMW:         20,
-		FlashEraseUJ:        100,
-		FlashProgramUJPerKB: 10,
-		RebootUJ:            5000,
+		RadioMW:  50,
+		RebootUJ: 5000,
 	}
 }
 
@@ -23,22 +20,6 @@ func TestChargeRadio(t *testing.T) {
 	// 50 mW * 2 s = 100 mJ = 100000 µJ.
 	if got := m.Component(Radio); got != 100000 {
 		t.Fatalf("radio = %f µJ, want 100000", got)
-	}
-}
-
-func TestChargeCPU(t *testing.T) {
-	m := NewMeter(testProfile())
-	m.ChargeCPU(500 * time.Millisecond)
-	if got := m.Component(CPU); got != 10000 {
-		t.Fatalf("cpu = %f µJ, want 10000", got)
-	}
-}
-
-func TestChargeFlash(t *testing.T) {
-	m := NewMeter(testProfile())
-	m.ChargeFlash(3, 4.5)
-	if got := m.Component(Flash); got != 3*100+4.5*10 {
-		t.Fatalf("flash = %f µJ", got)
 	}
 }
 
@@ -54,12 +35,11 @@ func TestChargeReboot(t *testing.T) {
 func TestTotalAndSnapshot(t *testing.T) {
 	m := NewMeter(testProfile())
 	m.ChargeRadio(time.Second) // 50000
-	m.ChargeCPU(time.Second)   // 20000
-	m.ChargeFlash(1, 0)        // 100
-	if got := m.TotalUJ(); got != 70100 {
-		t.Fatalf("total = %f µJ, want 70100", got)
-	}
+	m.ChargeReboot()           // 5000
 	snap := m.Snapshot()
+	if len(snap) != 2 || snap[Radio] != 50000 || snap[Boot] != 5000 {
+		t.Fatalf("snapshot = %v, want radio 50000 µJ and boot 5000 µJ", snap)
+	}
 	snap[Radio] = 0
 	if m.Component(Radio) != 50000 {
 		t.Fatal("snapshot mutation leaked into meter")
@@ -97,12 +77,12 @@ func TestStringRendersComponents(t *testing.T) {
 
 func TestNRF52840ProfilePlausible(t *testing.T) {
 	p := NRF52840Profile()
-	if p.RadioMW <= 0 || p.CPUActiveMW <= 0 || p.RebootUJ <= 0 {
+	if p.RadioMW <= 0 || p.RebootUJ <= 0 {
 		t.Fatal("profile has non-positive constants")
 	}
-	// A reboot must cost far more than a sector erase — the premise of
-	// the paper's early-rejection argument.
-	if p.RebootUJ < 100*p.FlashEraseUJ {
-		t.Fatal("reboot should dominate flash costs")
+	// A reboot must cost more than a second of radio time — the premise
+	// of the paper's early-rejection argument.
+	if p.RebootUJ < p.RadioMW*1000 {
+		t.Fatal("reboot should dominate a second of radio")
 	}
 }

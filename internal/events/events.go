@@ -197,17 +197,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Last returns the most recent event of the given kind, or ok=false.
-func (l *Log) Last(kind Kind) (Event, bool) {
-	events := l.Events()
-	for i := len(events) - 1; i >= 0; i-- {
-		if events[i].Kind == kind {
-			return events[i], true
-		}
-	}
-	return Event{}, false
-}
-
 // Count reports how many events of kind are currently retained.
 func (l *Log) Count(kind Kind) int {
 	n := 0

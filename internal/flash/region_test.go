@@ -244,20 +244,25 @@ func TestFileBackedRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "chip.bin")
 	geo := testGeometry()
 
-	mem, err := LoadFromFile(path, geo) // missing file -> erased chip
+	mem, err := New(geo, nil)
 	if err != nil {
-		t.Fatalf("LoadFromFile(missing): %v", err)
+		t.Fatal(err)
 	}
 	if err := mem.Program(0, []byte("persisted")); err != nil {
 		t.Fatal(err)
 	}
+	mem2, err := New(geo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem2.RestoreFromFile(path); err == nil {
+		t.Fatal("RestoreFromFile of a missing dump succeeded")
+	}
 	if err := mem.SaveToFile(path); err != nil {
 		t.Fatalf("SaveToFile: %v", err)
 	}
-
-	mem2, err := LoadFromFile(path, geo)
-	if err != nil {
-		t.Fatalf("LoadFromFile: %v", err)
+	if err := mem2.RestoreFromFile(path); err != nil {
+		t.Fatalf("RestoreFromFile: %v", err)
 	}
 	got := make([]byte, 9)
 	if err := mem2.Read(0, got); err != nil {
@@ -314,15 +319,29 @@ func TestSaveToFileAtomicReplace(t *testing.T) {
 	}
 }
 
-func TestLoadFromFileRejectsOversized(t *testing.T) {
+// TestRestoreFromFileRejectsOversized covers the check on the path
+// `upkit-device -state` reads: a dump larger than the chip is refused
+// and leaves the chip as it was.
+func TestRestoreFromFileRejectsOversized(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "big.bin")
 	geo := testGeometry()
 	if err := os.WriteFile(path, make([]byte, geo.Size+1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFromFile(path, geo); err == nil {
-		t.Fatal("LoadFromFile accepted oversized file")
+	mem, err := New(geo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Program(0, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	before := mem.Snapshot()
+	if err := mem.RestoreFromFile(path); err == nil {
+		t.Fatal("RestoreFromFile accepted a dump larger than the chip")
+	}
+	if !bytes.Equal(mem.Snapshot(), before) {
+		t.Fatal("refused restore changed the chip")
 	}
 }
 

@@ -169,7 +169,7 @@ func TestCircuitBreakerTripsMidWave(t *testing.T) {
 	if !report.Aborted {
 		t.Fatal("report not marked aborted")
 	}
-	u, f, s, p := report.Counts()
+	u, f, s, p := report.Updated, report.Failed, report.Skipped, report.Pending
 	if u != 0 || p != 0 {
 		t.Fatalf("counts = %d/%d/%d/%d, want no updates or pending", u, f, s, p)
 	}
@@ -232,7 +232,7 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
-	u1, _, s1, _ := report.Counts()
+	u1, _, s1, _ := report.Updated, report.Failed, report.Skipped, report.Pending
 	if u1 < 20 || s1 == 0 {
 		t.Fatalf("interrupted run counts = %s", report.Render())
 	}
@@ -310,7 +310,7 @@ func TestCheckpointResumeAfterBreakerTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed run tripped again on pre-resume failures: %v", err)
 	}
-	u, f, s, p := report.Counts()
+	u, f, s, p := report.Updated, report.Failed, report.Skipped, report.Pending
 	if u+f != n || s != 0 || p != 0 {
 		t.Fatalf("resumed counts = %d/%d/%d/%d, want updated+failed == %d", u, f, s, p, n)
 	}

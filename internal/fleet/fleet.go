@@ -294,6 +294,9 @@ type StageSummary struct {
 type Report struct {
 	Target  uint16
 	Devices int
+	// Every device lands in exactly one outcome bucket, so
+	// Updated+Failed+Skipped+Pending == Devices; Pending is only
+	// non-zero when a resumed checkpoint was inconsistent.
 	Updated int
 	Failed  int
 	Skipped int
@@ -319,13 +322,6 @@ type Report struct {
 	// the phase-span digest at the end of the run (per-phase totals over
 	// completed update spans).
 	SpanSummary string
-}
-
-// Counts tallies outcomes. Every device lands in exactly one bucket,
-// so updated+failed+skipped+pending == Devices; pending is only
-// non-zero when a resumed checkpoint was inconsistent.
-func (r *Report) Counts() (updated, failed, skipped, pending int) {
-	return r.Updated, r.Failed, r.Skipped, r.Pending
 }
 
 // Campaign rolls one target version across a fleet.

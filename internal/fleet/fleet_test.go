@@ -62,7 +62,7 @@ func updaters(devs []*fakeDevice) []Updater {
 // the counts always sum to the fleet size.
 func checkCounts(t *testing.T, report *Report, updated, failed, skipped, pending int) {
 	t.Helper()
-	u, f, s, p := report.Counts()
+	u, f, s, p := report.Updated, report.Failed, report.Skipped, report.Pending
 	if u != updated || f != failed || s != skipped || p != pending {
 		t.Fatalf("counts = %d/%d/%d/%d, want %d/%d/%d/%d\n%s",
 			u, f, s, p, updated, failed, skipped, pending, report.Render())

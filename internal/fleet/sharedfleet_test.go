@@ -65,7 +65,7 @@ func TestCampaignSharedServerComputesOneDiff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if updated, failed, skipped, pending := report.Counts(); updated != n || failed != 0 || skipped != 0 || pending != 0 {
+	if updated, failed, skipped, pending := report.Updated, report.Failed, report.Skipped, report.Pending; updated != n || failed != 0 || skipped != 0 || pending != 0 {
 		t.Fatalf("counts = %d/%d/%d/%d\n%s", updated, failed, skipped, pending, report.Render())
 	}
 	for _, d := range devs {
@@ -119,7 +119,7 @@ func benchCampaign(b *testing.B, cached bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if updated, _, _, _ := report.Counts(); updated != n {
+		if updated, _, _, _ := report.Updated, report.Failed, report.Skipped, report.Pending; updated != n {
 			b.Fatalf("updated = %d, want %d", updated, n)
 		}
 		st := update.Stats()

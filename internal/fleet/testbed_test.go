@@ -69,7 +69,7 @@ func TestCampaignOverSimulatedDevices(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	updated, failed, skipped, pending := report.Counts()
+	updated, failed, skipped, pending := report.Updated, report.Failed, report.Skipped, report.Pending
 	if updated != 6 || failed != 0 || skipped != 0 || pending != 0 {
 		t.Fatalf("counts = %d/%d/%d/%d\n%s", updated, failed, skipped, pending, report.Render())
 	}
@@ -97,7 +97,7 @@ func TestCampaignGateProtectsFleetFromBadLink(t *testing.T) {
 	if !errors.Is(err, fleet.ErrCampaignAborted) {
 		t.Fatalf("error = %v, want ErrCampaignAborted", err)
 	}
-	_, failed, skipped, _ := report.Counts()
+	_, failed, skipped, _ := report.Updated, report.Failed, report.Skipped, report.Pending
 	if failed != 1 || skipped != 5 {
 		t.Fatalf("failed/skipped = %d/%d, want 1/5\n%s", failed, skipped, report.Render())
 	}
@@ -121,7 +121,7 @@ func TestCampaignRetriesThroughLossyLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if updated, _, _, _ := report.Counts(); updated != 3 {
+	if updated, _, _, _ := report.Updated, report.Failed, report.Skipped, report.Pending; updated != 3 {
 		t.Fatalf("updated = %d, want 3\n%s", updated, report.Render())
 	}
 }

@@ -59,36 +59,3 @@ func MCUMgrAgent() Build {
 		},
 	}
 }
-
-// Deltas the paper reports in Fig. 7, as helpers for tests and the
-// experiment harness.
-
-// Fig7aDelta returns mcuboot minus UpKit (Zephyr + tinycrypt
-// bootloaders): the paper measured 1600 B flash and 716 B RAM.
-func Fig7aDelta() (Size, error) {
-	up, err := UpKitBootloader(platform.Zephyr, "tinycrypt")
-	if err != nil {
-		return Size{}, err
-	}
-	return MCUBootBootloader().Total().Sub(up.Total()), nil
-}
-
-// Fig7bDelta returns LwM2M minus UpKit (Zephyr pull agents): the paper
-// measured 4.8 kB flash and 2.4 kB RAM.
-func Fig7bDelta() (Size, error) {
-	up, err := UpKitAgent(platform.Zephyr, platform.Pull, "tinydtls")
-	if err != nil {
-		return Size{}, err
-	}
-	return LwM2MAgent().Total().Sub(up.Total()), nil
-}
-
-// Fig7cDelta returns mcumgr minus UpKit (Zephyr push agents): the paper
-// measured +426 B flash and −1200 B RAM.
-func Fig7cDelta() (Size, error) {
-	up, err := UpKitAgent(platform.Zephyr, platform.Push, "tinydtls")
-	if err != nil {
-		return Size{}, err
-	}
-	return MCUMgrAgent().Total().Sub(up.Total()), nil
-}

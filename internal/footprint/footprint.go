@@ -72,18 +72,6 @@ func (b Build) Component(name string) (Size, bool) {
 	return Size{}, false
 }
 
-// Without returns a copy of the build with the named component removed
-// (used by the ablation experiments).
-func (b Build) Without(name string) Build {
-	out := Build{Name: b.Name + " −" + name, Residual: b.Residual}
-	for _, c := range b.Components {
-		if c.Name != name {
-			out.Components = append(out.Components, c)
-		}
-	}
-	return out
-}
-
 // UpKit module sizes. Pipeline and memory-module flash are the paper's
 // own numbers (§VI-A); the rest are calibrated estimates.
 var (

@@ -63,42 +63,6 @@ func TestTableIIAgentFootprint(t *testing.T) {
 	}
 }
 
-// Fig. 7a: UpKit's bootloader is 1600 B flash / 716 B RAM smaller than
-// mcuboot.
-func TestFig7aMCUBootDelta(t *testing.T) {
-	d, err := Fig7aDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Flash != 1600 || d.RAM != 716 {
-		t.Fatalf("delta = %d/%d, want 1600/716", d.Flash, d.RAM)
-	}
-}
-
-// Fig. 7b: UpKit's pull agent is 4.8 kB flash / 2.4 kB RAM smaller than
-// LwM2M.
-func TestFig7bLwM2MDelta(t *testing.T) {
-	d, err := Fig7bDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Flash != 4800 || d.RAM != 2400 {
-		t.Fatalf("delta = %d/%d, want 4800/2400", d.Flash, d.RAM)
-	}
-}
-
-// Fig. 7c: UpKit's push agent is 426 B flash smaller but 1200 B RAM
-// larger than mcumgr.
-func TestFig7cMCUMgrDelta(t *testing.T) {
-	d, err := Fig7cDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Flash != 426 || d.RAM != -1200 {
-		t.Fatalf("delta = %d/%d, want 426/-1200", d.Flash, d.RAM)
-	}
-}
-
 // Table I's within-row observations.
 func TestTableIObservations(t *testing.T) {
 	// TinyDTLS builds are ≈1.1 kB smaller than tinycrypt builds,
@@ -182,16 +146,15 @@ func TestBuildHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.Component("pipeline"); !ok {
+	p, ok := b.Component("pipeline")
+	if !ok {
 		t.Fatal("pipeline component missing")
 	}
-	without := b.Without("pipeline")
-	if _, ok := without.Component("pipeline"); ok {
-		t.Fatal("Without did not remove the component")
+	if p != sizePipeline {
+		t.Fatalf("pipeline component = %+v, want %+v", p, sizePipeline)
 	}
-	d := b.Total().Sub(without.Total())
-	if d.Flash != sizePipeline.Flash || d.RAM != sizePipeline.RAM {
-		t.Fatalf("ablation delta = %+v, want pipeline size", d)
+	if _, ok := b.Component("no-such-module"); ok {
+		t.Fatal("Component found a module the build does not have")
 	}
 }
 

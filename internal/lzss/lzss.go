@@ -183,15 +183,6 @@ func NewDecoder() *Decoder {
 	return &Decoder{state: stateHeader}
 }
 
-// DecodedLength reports the total decoded length declared by the stream
-// header, or -1 if the header has not arrived yet.
-func (d *Decoder) DecodedLength() int {
-	if d.state == stateHeader {
-		return -1
-	}
-	return d.total
-}
-
 // Done reports whether the full declared output has been produced.
 func (d *Decoder) Done() bool { return d.state == stateDone }
 

@@ -120,18 +120,22 @@ func TestStreamingFeedChunkSizes(t *testing.T) {
 func TestDecoderReportsLength(t *testing.T) {
 	src := []byte("payload")
 	enc := Encode(src)
+	// The header's declared length, not the end of input, decides when
+	// the decoder is done.
 	d := NewDecoder()
-	if got := d.DecodedLength(); got != -1 {
-		t.Fatalf("DecodedLength before header = %d, want -1", got)
-	}
-	if err := d.Feed(enc, func([]byte) error { return nil }); err != nil {
+	var out []byte
+	emit := func(p []byte) error { out = append(out, p...); return nil }
+	if err := d.Feed(enc[:len(enc)-1], emit); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.DecodedLength(); got != len(src) {
-		t.Fatalf("DecodedLength = %d, want %d", got, len(src))
+	if d.Done() {
+		t.Fatal("decoder done before the declared length was produced")
 	}
-	if !d.Done() {
-		t.Fatal("decoder should be done")
+	if err := d.Feed(enc[len(enc)-1:], emit); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Done() || len(out) != len(src) {
+		t.Fatalf("done=%v after %d bytes, want done after %d", d.Done(), len(out), len(src))
 	}
 }
 

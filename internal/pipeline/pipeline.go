@@ -153,12 +153,6 @@ func (p *Pipeline) BytesIn() int { return p.bytesIn }
 // buffer is empty and DurableBytes is the full output position).
 func (p *Pipeline) DurableBytes() int { return p.bytesOut }
 
-// BufferedBytes reports firmware bytes held in the sector buffer that
-// have not reached the sink yet (at most one buffer). Progress
-// telemetry wanting "bytes produced" should report DurableBytes() +
-// BufferedBytes(); resume must never trust the buffered part.
-func (p *Pipeline) BufferedBytes() int { return p.n }
-
 // Write feeds payload bytes into the pipeline.
 func (p *Pipeline) Write(data []byte) (int, error) {
 	if p.closed {

@@ -73,28 +73,23 @@ func TestBufferStageBatchesWrites(t *testing.T) {
 	}
 }
 
-// TestDurableVsBufferedBytes pins the progress-reporting contract:
-// DurableBytes counts only sink-accepted bytes, BufferedBytes the
-// sector-buffer residue, and their sum is every byte produced — the
-// count progress telemetry must report so it never under-states by up
-// to a sector.
+// TestDurableVsBufferedBytes pins the resume contract: DurableBytes
+// counts only sink-accepted bytes, never the sector-buffer residue,
+// until Sync flushes it.
 func TestDurableVsBufferedBytes(t *testing.T) {
 	var sink countingSink
 	p := NewFull(&sink, 4096)
 	if _, err := p.Write(make([]byte, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	if p.DurableBytes() != 4096 || p.BufferedBytes() != 5000-4096 {
-		t.Fatalf("durable=%d buffered=%d, want 4096/%d", p.DurableBytes(), p.BufferedBytes(), 5000-4096)
-	}
-	if p.DurableBytes()+p.BufferedBytes() != 5000 {
-		t.Fatalf("durable+buffered = %d, want 5000", p.DurableBytes()+p.BufferedBytes())
+	if p.DurableBytes() != 4096 || sink.Len() != 4096 {
+		t.Fatalf("durable=%d sink=%d, want 4096 with 904 bytes buffered", p.DurableBytes(), sink.Len())
 	}
 	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if p.DurableBytes() != 5000 || p.BufferedBytes() != 0 {
-		t.Fatalf("after Sync: durable=%d buffered=%d, want 5000/0", p.DurableBytes(), p.BufferedBytes())
+	if p.DurableBytes() != 5000 || sink.Len() != 5000 {
+		t.Fatalf("after Sync: durable=%d sink=%d, want 5000", p.DurableBytes(), sink.Len())
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

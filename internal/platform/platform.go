@@ -156,9 +156,6 @@ func CC2538() MCU {
 	}
 }
 
-// AllMCUs lists the evaluated platforms.
-func AllMCUs() []MCU { return []MCU{NRF52840(), CC2650(), CC2538()} }
-
 // BuildSlotBytes returns the slot size used by the Fig. 8 experiments
 // for the given approach on the nRF52840: slots are dimensioned to the
 // installed build (Table II), rounded up to whole sectors — 112 KiB for

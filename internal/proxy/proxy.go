@@ -12,9 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"upkit/internal/announce"
 	"upkit/internal/ble"
 	"upkit/internal/updateserver"
 )
@@ -32,11 +30,6 @@ type Smartphone struct {
 	// HTTP, when set, fetches updates over the server's HTTP API
 	// instead — the real Internet hop of Fig. 2.
 	HTTP *updateserver.HTTPClient
-	// Announcements, when set, is where StartWatch subscribes instead
-	// of the in-process Server — typically an announce.Bus fed by a
-	// Poller, which lets HTTP-connected gateways run the same
-	// announcement-driven watch as in-process ones.
-	Announcements Announcer
 	// Central is the BLE connection to the IoT device.
 	Central *ble.Central
 	// AppID is the application the device runs.
@@ -118,153 +111,4 @@ func clone(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
-}
-
-// Announcer is any source of new-release announcements a watcher can
-// subscribe to: the in-process update server, or a standalone
-// announce.Bus — the same fan-out machinery, detached from the server,
-// that a Poller feeds over HTTP.
-type Announcer interface {
-	Subscribe() <-chan updateserver.Announcement
-	Unsubscribe(<-chan updateserver.Announcement)
-}
-
-// Compile-time proof that both announcement sources fit the seam.
-var (
-	_ Announcer = (*updateserver.Server)(nil)
-	_ Announcer = (*announce.Bus[updateserver.Announcement])(nil)
-)
-
-// Watch is a running announcement watcher started by StartWatch.
-type Watch struct {
-	stop chan struct{}
-	done chan watchResult
-}
-
-type watchResult struct {
-	delivered int
-	err       error
-}
-
-// StartWatch subscribes to new-release announcements and pushes each
-// new release for the watched app to the device as it arrives (Fig. 2
-// step 3: the server "announces its availability over the Internet"
-// and the smartphone reacts). The subscription is registered before
-// StartWatch returns, so releases announced afterwards are never
-// missed. Stop the watcher with Stop.
-//
-// The announcement source is Announcements when set (e.g. a Poller-fed
-// bus for HTTP-connected gateways), the in-process Server otherwise.
-func (s *Smartphone) StartWatch() (*Watch, error) {
-	var announcer Announcer
-	switch {
-	case s.Announcements != nil:
-		announcer = s.Announcements
-	case s.Server != nil:
-		announcer = s.Server
-	default:
-		return nil, errors.New("proxy: StartWatch needs an in-process Server or an Announcements bus")
-	}
-	announcements := announcer.Subscribe()
-	w := &Watch{stop: make(chan struct{}), done: make(chan watchResult, 1)}
-	go func() {
-		var res watchResult
-		handle := func(ann updateserver.Announcement) {
-			if ann.AppID != s.AppID {
-				return
-			}
-			if err := s.PushUpdate(); err != nil {
-				if res.err == nil {
-					res.err = err
-				}
-				return
-			}
-			res.delivered++
-		}
-		for {
-			select {
-			case <-w.stop:
-				// Deregister first so no new announcements arrive, then
-				// drain those already enqueued (Publish fills subscriber
-				// channels synchronously) and finish. Without the
-				// Unsubscribe every stopped watch would leak its channel
-				// in the announcer's subscriber list forever.
-				announcer.Unsubscribe(announcements)
-				for {
-					select {
-					case ann := <-announcements:
-						handle(ann)
-					default:
-						w.done <- res
-						return
-					}
-				}
-			case ann := <-announcements:
-				handle(ann)
-			}
-		}
-	}()
-	return w, nil
-}
-
-// Stop ends the watch and reports how many updates were delivered and
-// the first delivery error, if any.
-func (w *Watch) Stop() (delivered int, err error) {
-	close(w.stop)
-	res := <-w.done
-	return res.delivered, res.err
-}
-
-// Poller bridges the update server's poll-only HTTP surface onto the
-// announcement bus: it polls GET /api/v1/version on an interval and
-// publishes an announcement whenever the advertised version advances
-// past the last one announced. The first successful poll announces the
-// current latest version (catch-up), so a watcher attached to the same
-// bus immediately pushes releases the gateway missed while offline.
-type Poller struct {
-	cancel  func()
-	done    chan struct{}
-	lastErr error
-}
-
-// StartPoller begins polling client for app every interval, publishing
-// version advances into bus. Stop the poller with Stop.
-func StartPoller(client *updateserver.HTTPClient, appID uint32, interval time.Duration,
-	bus *announce.Bus[updateserver.Announcement]) *Poller {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := &Poller{cancel: cancel, done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		var last uint16
-		for {
-			v, err := client.Latest(ctx, appID)
-			switch {
-			case ctx.Err() != nil:
-				return
-			case err != nil:
-				// Transient (or unknown-app) failures are retried on the
-				// next tick; the last one is reported by Stop.
-				p.lastErr = err
-			case v > last:
-				last = v
-				bus.Publish(updateserver.Announcement{AppID: appID, Version: v})
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-			}
-		}
-	}()
-	return p
-}
-
-// Stop ends the poller, cancelling any in-flight poll, and returns the
-// last poll error, if any.
-func (p *Poller) Stop() error {
-	p.cancel()
-	<-p.done
-	return p.lastErr
 }

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"testing"
-	"time"
 
-	"upkit/internal/announce"
 	"upkit/internal/ble"
 	"upkit/internal/platform"
 	"upkit/internal/proxy"
@@ -191,194 +189,5 @@ func TestProxyPollingUpToDateDeviceOverHTTP(t *testing.T) {
 	phone.AppID = 0x99
 	if err := phone.PushUpdate(); err == nil || errors.Is(err, updateserver.ErrNoNewUpdate) {
 		t.Fatalf("unknown app error = %v, want a non-ErrNoNewUpdate failure", err)
-	}
-}
-
-func TestStartWatchStopsLeakFreeAndRepeatedly(t *testing.T) {
-	// Every stopped watch must release its announcement subscription;
-	// otherwise long-lived servers accumulate dead channels.
-	b := newPushBed(t)
-	phone := b.Smartphone()
-	for range 5 {
-		watch, err := phone.StartWatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := watch.Stop(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := b.Update.SubscriberCount(); n != 0 {
-		t.Fatalf("%d subscriptions leaked after 5 watch cycles", n)
-	}
-}
-
-func TestStartWatchDeliversAnnouncements(t *testing.T) {
-	b, err := testbed.New(testbed.Options{Approach: platform.Push, Seed: "watch"},
-		testbed.MakeFirmware("watch-v1", fwSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	phone := b.Smartphone()
-	watch, err := phone.StartWatch()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Publishing v2 announces it synchronously; Stop drains and pushes
-	// before returning, so no polling or sleeping is needed.
-	if err := b.PublishVersion(2, testbed.MakeFirmware("watch-v2", fwSize)); err != nil {
-		t.Fatal(err)
-	}
-	delivered, werr := watch.Stop()
-	if werr != nil {
-		t.Fatalf("watch error: %v", werr)
-	}
-	if delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", delivered)
-	}
-	if _, err := b.Device.ApplyStagedUpdate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Device.RunningVersion(); got != 2 {
-		t.Fatalf("running v%d, want v2", got)
-	}
-}
-
-func TestStartWatchRequiresServer(t *testing.T) {
-	phone := &proxy.Smartphone{}
-	if _, err := phone.StartWatch(); err == nil {
-		t.Fatal("StartWatch without a server must fail")
-	}
-}
-
-func TestStartWatchOverAnnouncementsBus(t *testing.T) {
-	// A watch fed by a standalone bus (not the in-process server) runs
-	// the same delivery loop: the announcement machinery is detachable.
-	b := newPushBed(t)
-	ts := httptest.NewServer(b.Update.Handler())
-	defer ts.Close()
-
-	bus := announce.New[updateserver.Announcement](announce.DefaultBuffer)
-	phone := b.Smartphone()
-	phone.Server = nil
-	phone.HTTP = &updateserver.HTTPClient{BaseURL: ts.URL}
-	phone.Announcements = bus
-
-	watch, err := phone.StartWatch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Publish(updateserver.Announcement{AppID: phone.AppID, Version: 2})
-	bus.Publish(updateserver.Announcement{AppID: 0x99, Version: 9}) // other app: ignored
-	delivered, werr := watch.Stop()
-	if werr != nil {
-		t.Fatalf("watch error: %v", werr)
-	}
-	if delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", delivered)
-	}
-	if !b.Device.ReadyToReboot() {
-		t.Fatal("bus-driven watch did not stage the update")
-	}
-	if n := bus.Count(); n != 0 {
-		t.Fatalf("%d bus subscriptions leaked", n)
-	}
-}
-
-func TestPollerFeedsBusAndCatchesUp(t *testing.T) {
-	// The poller bridges the poll-only HTTP surface onto the bus. v2 is
-	// already published when the poller starts, so the first successful
-	// poll must announce it (catch-up), and the watcher on the same bus
-	// pushes it to the device.
-	b := newPushBed(t)
-	ts := httptest.NewServer(b.Update.Handler())
-	defer ts.Close()
-
-	bus := announce.New[updateserver.Announcement](announce.DefaultBuffer)
-	phone := b.Smartphone()
-	phone.Server = nil
-	phone.HTTP = &updateserver.HTTPClient{BaseURL: ts.URL}
-	phone.Announcements = bus
-	watch, err := phone.StartWatch()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Observe the catch-up announcement on our own subscription; the
-	// watcher's channel received the same broadcast, and Stop drains it
-	// before returning, so the push is complete once Stop returns.
-	probe := bus.Subscribe()
-	defer bus.Unsubscribe(probe)
-	client := &updateserver.HTTPClient{BaseURL: ts.URL}
-	poller := proxy.StartPoller(client, phone.AppID, time.Millisecond, bus)
-	select {
-	case ann := <-probe:
-		if ann.AppID != phone.AppID || ann.Version != 2 {
-			t.Fatalf("catch-up announcement = %+v, want app %#x v2", ann, phone.AppID)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("poller never delivered the catch-up announcement")
-	}
-	if err := poller.Stop(); err != nil {
-		t.Fatalf("poller error: %v", err)
-	}
-	delivered, werr := watch.Stop()
-	if werr != nil {
-		t.Fatalf("watch error: %v", werr)
-	}
-	if delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", delivered)
-	}
-	res, err := b.Device.ApplyStagedUpdate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Version != 2 {
-		t.Fatalf("booted v%d, want v2", res.Version)
-	}
-}
-
-func TestPollerAnnouncesOnlyAdvances(t *testing.T) {
-	// Repeated polls of the same version must not re-announce it.
-	b := newPushBed(t)
-	ts := httptest.NewServer(b.Update.Handler())
-	defer ts.Close()
-
-	bus := announce.New[updateserver.Announcement](announce.DefaultBuffer)
-	ch := bus.Subscribe()
-	defer bus.Unsubscribe(ch)
-	client := &updateserver.HTTPClient{BaseURL: ts.URL}
-	poller := proxy.StartPoller(client, 0x2A, time.Millisecond, bus)
-
-	var first updateserver.Announcement
-	select {
-	case first = <-ch:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no announcement within 5s")
-	}
-	if first.AppID != 0x2A || first.Version != 2 {
-		t.Fatalf("announcement = %+v, want app 0x2A v2", first)
-	}
-	// Let several more polls happen; the version has not advanced, so
-	// nothing further may arrive.
-	time.Sleep(20 * time.Millisecond)
-	if err := poller.Stop(); err != nil {
-		t.Fatalf("poller error: %v", err)
-	}
-	select {
-	case ann := <-ch:
-		t.Fatalf("duplicate announcement %+v for an unchanged version", ann)
-	default:
-	}
-}
-
-func TestPollerReportsLastError(t *testing.T) {
-	bus := announce.New[updateserver.Announcement](announce.DefaultBuffer)
-	client := &updateserver.HTTPClient{BaseURL: "http://127.0.0.1:1"} // nothing listens
-	poller := proxy.StartPoller(client, 1, time.Millisecond, bus)
-	time.Sleep(10 * time.Millisecond)
-	if err := poller.Stop(); err == nil {
-		t.Fatal("poller against a dead server must report its last error")
 	}
 }

@@ -107,9 +107,6 @@ func (d *PayloadDecrypter) Feed(chunk []byte, emit func([]byte) error) error {
 	return emit(out)
 }
 
-// Started reports whether the IV has been fully received.
-func (d *PayloadDecrypter) Started() bool { return d.stream != nil }
-
 // Decrypter checkpoint serialization (reception-journal support): the
 // IV and the plaintext offset are enough to recreate the CTR stream at
 // the exact position a power loss interrupted it.

@@ -19,12 +19,6 @@ var (
 	ErrKeySlotLocked = errors.New("security: hsm key slot locked")
 	// ErrBadKeySlot is returned for slot numbers outside the device range.
 	ErrBadKeySlot = errors.New("security: hsm key slot out of range")
-	// ErrKeyNotProvisioned is returned by the CryptoAuthLib suite when
-	// asked to verify against a public key that is not stored in any
-	// sealed HSM slot: the ATECC508 only verifies against provisioned
-	// keys, which is exactly the tamper-resistance property the paper
-	// relies on (§V).
-	ErrKeyNotProvisioned = errors.New("security: public key not provisioned in hsm")
 )
 
 // HSMSlotCount is the number of key slots on the simulated ATECC508.

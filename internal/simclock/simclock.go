@@ -43,35 +43,6 @@ func (c *Clock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// AdvanceTo moves the clock forward to instant t if t is in the future;
-// otherwise it is a no-op.
-func (c *Clock) AdvanceTo(t time.Duration) {
-	c.mu.Lock()
-	if t > c.now {
-		c.now = t
-	}
-	c.mu.Unlock()
-}
-
-// Stopwatch measures a span of virtual time on a clock.
-type Stopwatch struct {
-	clock *Clock
-	start time.Duration
-}
-
-// StartStopwatch begins measuring from the clock's current instant.
-func (c *Clock) StartStopwatch() Stopwatch {
-	return Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed reports virtual time elapsed since the stopwatch started.
-func (s Stopwatch) Elapsed() time.Duration {
-	if s.clock == nil {
-		return 0
-	}
-	return s.clock.Now() - s.start
-}
-
 // Timer accumulates named spans of virtual time. It is used to break an
 // update down into the paper's phases (propagation, verification,
 // loading).

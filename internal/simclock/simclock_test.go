@@ -39,19 +39,6 @@ func TestAdvanceZeroIsNoop(t *testing.T) {
 	}
 }
 
-func TestAdvanceTo(t *testing.T) {
-	c := New()
-	c.AdvanceTo(10 * time.Second)
-	if got := c.Now(); got != 10*time.Second {
-		t.Fatalf("Now() = %v, want 10s", got)
-	}
-	// Moving to the past is a no-op.
-	c.AdvanceTo(5 * time.Second)
-	if got := c.Now(); got != 10*time.Second {
-		t.Fatalf("Now() = %v, want 10s after past AdvanceTo", got)
-	}
-}
-
 func TestAdvanceConcurrent(t *testing.T) {
 	c := New()
 	const (
@@ -72,23 +59,6 @@ func TestAdvanceConcurrent(t *testing.T) {
 	want := time.Duration(goroutines*perG) * time.Millisecond
 	if got := c.Now(); got != want {
 		t.Fatalf("Now() = %v, want %v", got, want)
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	c := New()
-	c.Advance(time.Second)
-	sw := c.StartStopwatch()
-	c.Advance(3 * time.Second)
-	if got := sw.Elapsed(); got != 3*time.Second {
-		t.Fatalf("Elapsed() = %v, want 3s", got)
-	}
-}
-
-func TestStopwatchZeroValue(t *testing.T) {
-	var sw Stopwatch
-	if got := sw.Elapsed(); got != 0 {
-		t.Fatalf("Elapsed() on zero stopwatch = %v, want 0", got)
 	}
 }
 

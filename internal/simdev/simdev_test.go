@@ -51,7 +51,7 @@ func runSim(tb testing.TB, n, parallelism, shards int) (*fleet.Report, time.Dura
 	if err != nil {
 		tb.Fatalf("campaign: %v", err)
 	}
-	if updated, _, _, _ := report.Counts(); updated != n {
+	if updated, _, _, _ := report.Updated, report.Failed, report.Skipped, report.Pending; updated != n {
 		tb.Fatalf("updated = %d, want %d", updated, n)
 	}
 	return report, wall, peak.max

@@ -39,49 +39,3 @@ func (s *Slot) CopyTo(dst *Slot) error {
 	}
 	return nil
 }
-
-// SwapWith exchanges the content of two equally sized slots sector by
-// sector, the way UpKit's memory module swaps the bootable and
-// non-bootable images during a static update (§IV-C). Each sector pair
-// costs two reads, two erases, and two programs, which is what makes
-// static loading so much slower than A/B loading (Fig. 8c).
-func (s *Slot) SwapWith(other *Slot) error {
-	if s.region.Length != other.region.Length {
-		return fmt.Errorf("slot: swap %s <-> %s: size mismatch (%d vs %d)",
-			s.Name, other.Name, s.region.Length, other.region.Length)
-	}
-	aSector := s.region.Mem.Geometry().SectorSize
-	bSector := other.region.Mem.Geometry().SectorSize
-	step := max(aSector, bSector)
-	if step%aSector != 0 || step%bSector != 0 {
-		return fmt.Errorf("slot: swap %s <-> %s: incompatible sector sizes (%d vs %d)",
-			s.Name, other.Name, aSector, bSector)
-	}
-	bufA := make([]byte, step)
-	bufB := make([]byte, step)
-	for off := 0; off < s.region.Length; off += step {
-		if err := s.region.ReadAt(off, bufA); err != nil {
-			return fmt.Errorf("slot: swap read %s: %w", s.Name, err)
-		}
-		if err := other.region.ReadAt(off, bufB); err != nil {
-			return fmt.Errorf("slot: swap read %s: %w", other.Name, err)
-		}
-		for e := 0; e < step; e += aSector {
-			if err := s.region.EraseSectorAt(off + e); err != nil {
-				return fmt.Errorf("slot: swap erase %s: %w", s.Name, err)
-			}
-		}
-		if err := s.region.ProgramAt(off, bufB); err != nil {
-			return fmt.Errorf("slot: swap program %s: %w", s.Name, err)
-		}
-		for e := 0; e < step; e += bSector {
-			if err := other.region.EraseSectorAt(off + e); err != nil {
-				return fmt.Errorf("slot: swap erase %s: %w", other.Name, err)
-			}
-		}
-		if err := other.region.ProgramAt(off, bufA); err != nil {
-			return fmt.Errorf("slot: swap program %s: %w", other.Name, err)
-		}
-	}
-	return nil
-}

@@ -101,7 +101,6 @@ var (
 	ErrNoImage       = errors.New("slot: no complete image")
 	ErrImageTooLarge = errors.New("slot: image exceeds capacity")
 	ErrBadTransition = errors.New("slot: invalid state transition")
-	ErrNotBootable   = errors.New("slot: not bootable")
 )
 
 // Slot is one update-image slot on a flash region.

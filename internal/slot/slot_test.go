@@ -323,34 +323,6 @@ func TestCopyTo(t *testing.T) {
 	}
 }
 
-func TestSwapWith(t *testing.T) {
-	a := newSlot(t, "A", Bootable)
-	b := newSlot(t, "B", Bootable)
-	fwA := bytes.Repeat([]byte("image-a."), 500)
-	fwB := bytes.Repeat([]byte("image-b!"), 900)
-	writeImage(t, a, fwA)
-	writeImage(t, b, fwB)
-	if err := a.SwapWith(b); err != nil {
-		t.Fatalf("SwapWith: %v", err)
-	}
-	ra, err := a.FirmwareReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotA, _ := io.ReadAll(ra)
-	if !bytes.Equal(gotA, fwB) {
-		t.Fatal("slot A does not hold image B after swap")
-	}
-	rb, err := b.FirmwareReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, _ := io.ReadAll(rb)
-	if !bytes.Equal(gotB, fwA) {
-		t.Fatal("slot B does not hold image A after swap")
-	}
-}
-
 func TestCopySizeMismatch(t *testing.T) {
 	mem, _ := flash.New(testGeometry(), nil)
 	r1, _ := flash.NewRegion(mem, 0, 32*1024)
@@ -366,9 +338,6 @@ func TestCopySizeMismatch(t *testing.T) {
 	if err := s1.CopyTo(s2); err == nil {
 		t.Fatal("CopyTo with mismatched sizes must fail")
 	}
-	if err := s1.SwapWith(s2); err == nil {
-		t.Fatal("SwapWith with mismatched sizes must fail")
-	}
 }
 
 func TestSwapChargesFlashTime(t *testing.T) {
@@ -379,22 +348,25 @@ func TestSwapChargesFlashTime(t *testing.T) {
 	}
 	r1, _ := flash.NewRegion(mem, 0, 32*1024)
 	r2, _ := flash.NewRegion(mem, 32*1024, 32*1024)
+	scratch, _ := flash.NewRegion(mem, 64*1024, 4096)
+	journal, _ := flash.NewRegion(mem, 68*1024, 4096)
 	a, err := New("A", r1, Bootable, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New("B", r2, Bootable, 0)
+	b, err := New("B", r2, NonBootable, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := clock.Now()
-	if err := a.SwapWith(b); err != nil {
+	if err := SafeSwap(a, b, scratch, journal); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := clock.Now() - start
-	// 8 sectors per slot: 16 erases at 80 ms dominate -> at least 1.28 s.
-	if elapsed < 1280*time.Millisecond {
-		t.Fatalf("swap took %v of virtual time; expected >= 1.28s", elapsed)
+	// 8 sectors per slot, each pair erased in A, B and scratch: 24
+	// erases at 80 ms dominate -> at least 1.92 s.
+	if elapsed < 1920*time.Millisecond {
+		t.Fatalf("swap took %v of virtual time; expected >= 1.92s", elapsed)
 	}
 }
 

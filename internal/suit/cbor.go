@@ -70,10 +70,9 @@ func (e *cborEncoder) Bytes(b []byte) {
 	e.head(majorBytes, uint64(len(b)))
 	e.buf = append(e.buf, b...)
 }
-func (e *cborEncoder) Text(s string) { e.head(majorText, uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *cborEncoder) Array(n int)   { e.head(majorArray, uint64(n)) }
-func (e *cborEncoder) Map(n int)     { e.head(majorMap, uint64(n)) }
-func (e *cborEncoder) Null()         { e.buf = append(e.buf, majorOther<<5|22) }
+func (e *cborEncoder) Array(n int) { e.head(majorArray, uint64(n)) }
+func (e *cborEncoder) Map(n int)   { e.head(majorMap, uint64(n)) }
+func (e *cborEncoder) Null()       { e.buf = append(e.buf, majorOther<<5|22) }
 
 // Int encodes a possibly negative integer.
 func (e *cborEncoder) Int(v int64) {
@@ -184,23 +183,6 @@ func (d *cborDecoder) Bytes() ([]byte, error) {
 	return out, nil
 }
 
-// Text reads a text string.
-func (d *cborDecoder) Text() (string, error) {
-	major, arg, err := d.head()
-	if err != nil {
-		return "", err
-	}
-	if major != majorText {
-		return "", fmt.Errorf("%w: major %d, want tstr", ErrCBORType, major)
-	}
-	if arg > uint64(len(d.buf)-d.pos) {
-		return "", ErrCBORTruncated
-	}
-	s := string(d.buf[d.pos : d.pos+int(arg)])
-	d.pos += int(arg)
-	return s, nil
-}
-
 // Array reads an array header and returns its length.
 func (d *cborDecoder) Array() (int, error) {
 	major, arg, err := d.head()
@@ -278,6 +260,3 @@ func (d *cborDecoder) Skip() error {
 		return fmt.Errorf("%w: major %d", ErrCBORUnsupported, major)
 	}
 }
-
-// Remaining reports unread bytes (tests).
-func (d *cborDecoder) Remaining() int { return len(d.buf) - d.pos }

@@ -52,7 +52,7 @@ func BenchmarkNilCounterInc(b *testing.B) {
 }
 
 func BenchmarkSpanRecord(b *testing.B) {
-	tr := NewTracer(0)
+	tr := newTracer(0)
 	key := SpanKey{DeviceID: 1, AppID: 2, From: 1, To: 2}
 	b.ReportAllocs()
 	for b.Loop() {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -112,7 +111,6 @@ type Tracer struct {
 	capacity  int
 	active    map[SpanKey]*Span
 	completed []Span // ring, oldest first up to capacity
-	ended     uint64 // total spans ever ended (ring may have dropped some)
 }
 
 func newTracer(capacity int) *Tracer {
@@ -121,11 +119,6 @@ func newTracer(capacity int) *Tracer {
 	}
 	return &Tracer{capacity: capacity, active: make(map[SpanKey]*Span)}
 }
-
-// NewTracer creates a standalone tracer (registries come with one
-// attached; this is for tests and custom wiring). capacity bounds the
-// completed-span ring; 0 selects DefaultSpanCapacity.
-func NewTracer(capacity int) *Tracer { return newTracer(capacity) }
 
 // Record charges d to the given phase of the span identified by key,
 // creating the span on first contribution. Negative durations are
@@ -169,22 +162,6 @@ func (t *Tracer) End(key SpanKey, outcome string) {
 	} else {
 		t.completed = append(t.completed, *s)
 	}
-	t.ended++
-}
-
-// Active snapshots the in-flight spans, ordered by key.
-func (t *Tracer) Active() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.active))
-	for _, s := range t.active {
-		out = append(out, s.clone())
-	}
-	sort.Slice(out, func(i, j int) bool { return spanKeyLess(out[i].Key, out[j].Key) })
-	return out
 }
 
 // Completed snapshots the retained completed spans, oldest first.
@@ -199,17 +176,6 @@ func (t *Tracer) Completed() []Span {
 		out[i] = s.clone()
 	}
 	return out
-}
-
-// EndedCount reports how many spans have ever ended, including those
-// the bounded ring has since dropped.
-func (t *Tracer) EndedCount() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ended
 }
 
 // Summary renders an operator-facing digest: per-phase totals over the
@@ -238,17 +204,4 @@ func (t *Tracer) Summary() string {
 		}
 	}
 	return fmt.Sprintf("%d completed spans (%s), %d active", len(completed), strings.Join(parts, ", "), activeN)
-}
-
-func spanKeyLess(a, b SpanKey) bool {
-	if a.DeviceID != b.DeviceID {
-		return a.DeviceID < b.DeviceID
-	}
-	if a.AppID != b.AppID {
-		return a.AppID < b.AppID
-	}
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.To < b.To
 }

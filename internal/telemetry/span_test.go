@@ -7,7 +7,7 @@ import (
 )
 
 func TestSpanLifecycle(t *testing.T) {
-	tr := NewTracer(0)
+	tr := newTracer(0)
 	key := SpanKey{DeviceID: 0xD0D0CAFE, AppID: 0x2A, From: 1, To: 2}
 
 	tr.Record(key, PhaseGeneration, 10*time.Millisecond)
@@ -16,19 +16,18 @@ func TestSpanLifecycle(t *testing.T) {
 	tr.Record(key, PhaseVerification, time.Second) // accumulates
 	tr.Record(key, PhaseLoading, 12*time.Second)
 
-	active := tr.Active()
-	if len(active) != 1 {
-		t.Fatalf("active = %d spans, want 1", len(active))
+	if len(tr.active) != 1 {
+		t.Fatalf("active = %d spans, want 1", len(tr.active))
 	}
-	if !active[0].Complete() {
-		t.Fatalf("span %v not complete", active[0])
+	if !tr.active[key].Complete() {
+		t.Fatalf("span %v not complete", tr.active[key])
 	}
-	if got := active[0].Phases[PhaseVerification]; got != 2*time.Second {
+	if got := tr.active[key].Phases[PhaseVerification]; got != 2*time.Second {
 		t.Fatalf("verification = %v, want 2s", got)
 	}
 
 	tr.End(key, "installed")
-	if len(tr.Active()) != 0 {
+	if len(tr.active) != 0 {
 		t.Fatal("span still active after End")
 	}
 	done := tr.Completed()
@@ -48,7 +47,7 @@ func TestSpanLifecycle(t *testing.T) {
 }
 
 func TestSpanRingBound(t *testing.T) {
-	tr := NewTracer(2)
+	tr := newTracer(2)
 	for i := range 5 {
 		key := SpanKey{DeviceID: uint32(i)}
 		tr.Record(key, PhaseGeneration, time.Millisecond)
@@ -61,13 +60,10 @@ func TestSpanRingBound(t *testing.T) {
 	if done[0].Key.DeviceID != 3 || done[1].Key.DeviceID != 4 {
 		t.Fatalf("ring kept %v, %v; want devices 3, 4", done[0].Key, done[1].Key)
 	}
-	if tr.EndedCount() != 5 {
-		t.Fatalf("ended = %d, want 5", tr.EndedCount())
-	}
 }
 
 func TestEndUnknownKey(t *testing.T) {
-	tr := NewTracer(0)
+	tr := newTracer(0)
 	tr.End(SpanKey{DeviceID: 1}, "rejected-manifest")
 	done := tr.Completed()
 	if len(done) != 1 || done[0].Outcome != "rejected-manifest" {
@@ -79,7 +75,7 @@ func TestEndUnknownKey(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	tr := NewTracer(0)
+	tr := newTracer(0)
 	if got := tr.Summary(); got != "no spans recorded" {
 		t.Fatalf("empty summary = %q", got)
 	}
@@ -94,12 +90,13 @@ func TestSummary(t *testing.T) {
 }
 
 func TestSnapshotsDoNotAlias(t *testing.T) {
-	tr := NewTracer(0)
+	tr := newTracer(0)
 	key := SpanKey{DeviceID: 1}
 	tr.Record(key, PhaseGeneration, time.Second)
-	snap := tr.Active()
+	tr.End(key, "installed")
+	snap := tr.Completed()
 	snap[0].Phases[PhaseGeneration] = 99 * time.Hour
-	if got := tr.Active()[0].Phases[PhaseGeneration]; got != time.Second {
+	if got := tr.Completed()[0].Phases[PhaseGeneration]; got != time.Second {
 		t.Fatalf("tracer state mutated through snapshot: %v", got)
 	}
 }

@@ -115,7 +115,7 @@ func TestConcurrentIncrementsAndScrape(t *testing.T) {
 	if got := r.Gauge("conc_gauge", "").Value(); got != writers*perWriter {
 		t.Fatalf("gauge = %f, want %d", got, writers*perWriter)
 	}
-	if got := r.Spans().EndedCount(); got != writers {
+	if got := len(r.Spans().Completed()); got != writers {
 		t.Fatalf("ended spans = %d, want %d", got, writers)
 	}
 }

@@ -120,7 +120,7 @@ func TestAdversaryDowngradeWithStolenServerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v1img, ok := b.Update.ImageByVersion(b.opts.AppID, 1)
+	v1img, ok := b.Update.Store().ByVersion(b.opts.AppID, 1)
 	if !ok {
 		t.Fatal("v1 image not in store")
 	}
@@ -445,7 +445,7 @@ func TestBootloaderRejectsSecurityVersionRegression(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	img, ok := b.Update.ImageByVersion(b.opts.AppID, 3)
+	img, ok := b.Update.Store().ByVersion(b.opts.AppID, 3)
 	if !ok {
 		t.Fatal("v3 image not in store")
 	}

@@ -217,7 +217,7 @@ func TestAdversaryStaleCacheContent(t *testing.T) {
 	if err := b.PublishVersion(2, MakeFirmware("adv-cache-stale-v2", fwSize)); err != nil {
 		t.Fatal(err)
 	}
-	v1img, ok := b.Update.ImageByVersion(b.opts.AppID, 1)
+	v1img, ok := b.Update.Store().ByVersion(b.opts.AppID, 1)
 	if !ok {
 		t.Fatal("v1 image not in store")
 	}

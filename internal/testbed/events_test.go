@@ -61,7 +61,7 @@ func TestEventSequenceForRejectedManifest(t *testing.T) {
 		t.Fatal("tampered manifest accepted")
 	}
 
-	rej, ok := b.Device.Events.Last(events.KindManifestRejected)
+	rej, ok := lastEvent(b.Device.Events, events.KindManifestRejected)
 	if !ok {
 		t.Fatalf("no manifest-rejected event:\n%s", b.Device.Events)
 	}
@@ -91,7 +91,7 @@ func TestEventSequenceForRejectedFirmware(t *testing.T) {
 	if err := phone.PushUpdate(); err == nil {
 		t.Fatal("tampered firmware accepted")
 	}
-	if _, ok := b.Device.Events.Last(events.KindFirmwareRejected); !ok {
+	if _, ok := lastEvent(b.Device.Events, events.KindFirmwareRejected); !ok {
 		t.Fatalf("no firmware-rejected event:\n%s", b.Device.Events)
 	}
 	if b.Device.Events.Count(events.KindManifestAccepted) != 1 {
@@ -116,7 +116,17 @@ func TestSwapResumedEventAfterPowerLoss(t *testing.T) {
 	if _, err := b.Device.Reboot(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.Device.Events.Last(events.KindSwapResumed); !ok {
+	if _, ok := lastEvent(b.Device.Events, events.KindSwapResumed); !ok {
 		t.Fatalf("no swap-resumed event:\n%s", b.Device.Events)
 	}
+}
+
+// lastEvent returns the most recent retained event of kind, or ok=false.
+func lastEvent(l *events.Log, kind events.Kind) (ev events.Event, ok bool) {
+	for _, e := range l.Events() {
+		if e.Kind == kind {
+			ev, ok = e, true
+		}
+	}
+	return ev, ok
 }

@@ -439,7 +439,7 @@ func TestPullResumeThroughProxy(t *testing.T) {
 	if n := b.Device.Events.Count(events.KindSourceFailover); n != 1 {
 		t.Fatalf("%d source-failover events, want 1 (proxy to origin)", n)
 	}
-	if ev, _ := b.Device.Events.Last(events.KindSourceFailover); ev.Version != 2 {
+	if ev, _ := lastEvent(b.Device.Events, events.KindSourceFailover); ev.Version != 2 {
 		t.Fatalf("source-failover event carries v%d, want the manifest's v2", ev.Version)
 	}
 	if len(tap.tokens) != 1 {

@@ -121,14 +121,6 @@ func (l *Link) Transfer(n int) (time.Duration, error) {
 	return d, nil
 }
 
-// Goodput reports the steady-state payload rate in bytes per second.
-func (l *Link) Goodput() float64 {
-	if l.ChunkTime <= 0 {
-		return 0
-	}
-	return float64(l.ChunkSize) / l.ChunkTime.Seconds()
-}
-
 // BLE returns the push-approach link: a BLE 4.x GATT connection as seen
 // from a smartphone — three 20-byte ATT write-without-response payloads
 // per ~26 ms connection event, ≈2.3 kB/s on the air. Together with the

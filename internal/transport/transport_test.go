@@ -75,7 +75,7 @@ func TestCalibratedGoodputs(t *testing.T) {
 	if pullTime < 33 || pullTime > 39 {
 		t.Fatalf("802.15.4 100 kB blockwise = %.1fs, want ≈36s", pullTime)
 	}
-	if ble.Goodput() >= r154.Goodput() {
+	if ble.TransferTime(100_000) <= r154.TransferTime(100_000) {
 		t.Fatal("pull link should have higher raw goodput than BLE (paper Fig. 8a)")
 	}
 }
@@ -110,12 +110,5 @@ func TestLossModel(t *testing.T) {
 	}
 	if lost < 400 || lost > 600 {
 		t.Fatalf("50%% loss dropped %d of 1000", lost)
-	}
-}
-
-func TestGoodputZeroChunkTime(t *testing.T) {
-	l := &Link{ChunkSize: 10}
-	if got := l.Goodput(); got != 0 {
-		t.Fatalf("Goodput with zero chunk time = %f, want 0", got)
 	}
 }

@@ -300,10 +300,10 @@ func TestRetentionPublishPrunesCachedBase(t *testing.T) {
 
 	// Publishing v5 must prune v3 and drop the cached patches for it.
 	publish(5)
-	if _, ok := s.update.ImageByVersion(1, 3); ok {
+	if _, ok := s.update.Store().ByVersion(1, 3); ok {
 		t.Fatal("release v3 still stored under WithRetention(2)")
 	}
-	if _, ok := s.update.ImageByVersion(1, 4); !ok {
+	if _, ok := s.update.Store().ByVersion(1, 4); !ok {
 		t.Fatal("release v4 missing under WithRetention(2)")
 	}
 	if st := s.update.Stats(); st.Entries != 0 {
@@ -317,39 +317,6 @@ func TestRetentionPublishPrunesCachedBase(t *testing.T) {
 	}
 	if u.Differential {
 		t.Fatal("differential update served against a pruned base")
-	}
-}
-
-func TestUnsubscribeStopsDeliveryAndReleasesChannel(t *testing.T) {
-	s := newServers(t)
-	ch1 := s.update.Subscribe()
-	ch2 := s.update.Subscribe()
-	if n := s.update.SubscriberCount(); n != 2 {
-		t.Fatalf("subscribers = %d, want 2", n)
-	}
-	s.update.Unsubscribe(ch1)
-	if n := s.update.SubscriberCount(); n != 1 {
-		t.Fatalf("subscribers = %d after Unsubscribe, want 1", n)
-	}
-	s.publish(t, 1, 1, []byte("v1"))
-	select {
-	case ann := <-ch1:
-		t.Fatalf("unsubscribed channel received %+v", ann)
-	default:
-	}
-	select {
-	case ann := <-ch2:
-		if ann.Version != 1 {
-			t.Fatalf("announcement = %+v", ann)
-		}
-	default:
-		t.Fatal("live subscriber received nothing")
-	}
-	// Unknown channels are ignored, including double unsubscribes.
-	s.update.Unsubscribe(ch1)
-	s.update.Unsubscribe(make(chan Announcement))
-	if n := s.update.SubscriberCount(); n != 1 {
-		t.Fatalf("subscribers = %d, want 1", n)
 	}
 }
 

@@ -254,7 +254,7 @@ func TestPrunedReleaseNeverServedAfterRestart(t *testing.T) {
 	}
 	restarted := New(security.NewTinyCrypt(), security.MustGenerateKey("prune-server"), WithStore(re), WithRetention(2))
 	for v := uint16(1); v <= 2; v++ {
-		if _, ok := restarted.ImageByVersion(1, v); ok {
+		if _, ok := restarted.Store().ByVersion(1, v); ok {
 			t.Fatalf("release v%d pruned before the restart is served after it", v)
 		}
 	}

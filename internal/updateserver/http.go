@@ -18,7 +18,8 @@ import (
 
 // HTTP API — the Internet-facing surface of the update server that
 // smartphones and gateways use in the push approach (Fig. 2, steps 3–7:
-// announce, receive the device token, return the double-signed image),
+// poll for the release, send the device token, receive the
+// double-signed image),
 // plus an admin plane over the release store.
 //
 //	GET  /api/v1/version?app=<hex>     → {"version": n}
@@ -80,7 +81,7 @@ type updateJSON struct {
 	Payload      string `json:"payload"`  // base64
 }
 
-// versionJSON is the announce/poll response.
+// versionJSON is the version-poll response.
 type versionJSON struct {
 	Version uint16 `json:"version"`
 }
@@ -321,29 +322,6 @@ func (c *HTTPClient) client() *http.Client {
 	return http.DefaultClient
 }
 
-// Latest polls the advertised version. The context cancels the
-// in-flight request.
-func (c *HTTPClient) Latest(ctx context.Context, appID uint32) (uint16, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/api/v1/version?app=%x", c.BaseURL, appID), nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("updateserver: version: HTTP %d", resp.StatusCode)
-	}
-	var v versionJSON
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return 0, err
-	}
-	return v.Version, nil
-}
-
 // Stats fetches the server's patch-cache counters.
 func (c *HTTPClient) Stats(ctx context.Context) (CacheStats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/v1/stats", nil)
@@ -384,39 +362,6 @@ func (c *HTTPClient) Apps(ctx context.Context) ([]AppInfo, error) {
 		return nil, err
 	}
 	return out.Apps, nil
-}
-
-// PublishImage uploads a vendor-signed image to the server's admin
-// endpoint. A version not newer than the stored latest returns
-// ErrStaleVersion, mirroring the in-process Publish contract.
-func (c *HTTPClient) PublishImage(ctx context.Context, img *vendorserver.Image) error {
-	if img == nil {
-		return errors.New("updateserver: nil image")
-	}
-	m, err := img.Manifest.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	body := append(m, img.Firmware...)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+"/api/v1/images", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusCreated:
-		return nil
-	case http.StatusConflict:
-		return fmt.Errorf("%w: server refused v%d", ErrStaleVersion, img.Manifest.Version)
-	default:
-		return fmt.Errorf("updateserver: publish: HTTP %d", resp.StatusCode)
-	}
 }
 
 // Request fetches the double-signed update for a device token. When

@@ -28,13 +28,17 @@ func TestHTTPVersionEndpoint(t *testing.T) {
 	s, ts := newHTTPServer(t)
 	s.publish(t, 0x2A, 3, bytes.Repeat([]byte("v3"), 500))
 
-	client := &HTTPClient{BaseURL: ts.URL}
-	v, err := client.Latest(context.Background(), 0x2A)
+	resp, err := http.Get(ts.URL + "/api/v1/version?app=2a")
 	if err != nil {
-		t.Fatalf("Latest: %v", err)
+		t.Fatal(err)
 	}
-	if v != 3 {
-		t.Fatalf("version = %d, want 3", v)
+	defer resp.Body.Close()
+	var v versionJSON
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || v.Version != 3 {
+		t.Fatalf("GET /api/v1/version = %d, v%d; want 200, v3", resp.StatusCode, v.Version)
 	}
 }
 
@@ -174,9 +178,6 @@ func TestHTTPStatsEndpoint(t *testing.T) {
 
 func TestHTTPClientAgainstDeadServer(t *testing.T) {
 	client := &HTTPClient{BaseURL: "http://127.0.0.1:1"} // nothing listens
-	if _, err := client.Latest(context.Background(), 1); err == nil {
-		t.Fatal("Latest against a dead server must fail")
-	}
 	if _, err := client.Request(context.Background(), 1, manifest.DeviceToken{}); err == nil {
 		t.Fatal("Request against a dead server must fail")
 	}
@@ -189,9 +190,6 @@ func TestHTTPClientNon200(t *testing.T) {
 	defer ts.Close()
 
 	client := &HTTPClient{BaseURL: ts.URL}
-	if _, err := client.Latest(context.Background(), 0x2A); err == nil || !strings.Contains(err.Error(), "500") {
-		t.Errorf("Latest error = %v, want HTTP 500", err)
-	}
 	if _, err := client.Stats(context.Background()); err == nil || !strings.Contains(err.Error(), "500") {
 		t.Errorf("Stats error = %v, want HTTP 500", err)
 	}
@@ -214,7 +212,7 @@ func TestHTTPClientContextCancelsInFlightRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := client.Latest(ctx, 0x2A)
+		_, err := client.Request(ctx, 0x2A, manifest.DeviceToken{DeviceID: 1})
 		errc <- err
 	}()
 	<-started
@@ -273,8 +271,22 @@ func TestHTTPPublishEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PublishImage(context.Background(), img); err != nil {
-		t.Fatalf("PublishImage: %v", err)
+	m, err := img.Manifest.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload := func() int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/api/v1/images", "application/octet-stream",
+			bytes.NewReader(append(m, img.Firmware...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := upload(); got != http.StatusCreated {
+		t.Fatalf("upload: %d, want 201", got)
 	}
 	// The uploaded release is immediately servable, signature intact.
 	u, err := client.Request(context.Background(), 0x2A, manifest.DeviceToken{DeviceID: 1, Nonce: 2})
@@ -288,13 +300,9 @@ func TestHTTPPublishEndpoint(t *testing.T) {
 		t.Fatal("vendor signature broken by the publish round trip")
 	}
 
-	// Republishing the same version is a conflict mapped to
-	// ErrStaleVersion on the client.
-	if err := client.PublishImage(context.Background(), img); !errors.Is(err, ErrStaleVersion) {
-		t.Fatalf("republish error = %v, want ErrStaleVersion", err)
-	}
-	if err := client.PublishImage(context.Background(), nil); err == nil {
-		t.Fatal("nil image accepted")
+	// Republishing the same version is a conflict.
+	if got := upload(); got != http.StatusConflict {
+		t.Fatalf("republish: %d, want 409", got)
 	}
 }
 

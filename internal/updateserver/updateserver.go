@@ -1,7 +1,7 @@
 // Package updateserver implements UpKit's update server: the Internet-
-// facing component that stores vendor-signed images, announces new
-// versions, and — per request — performs the double-signature step that
-// grants update freshness (§III-A/B).
+// facing component that stores vendor-signed images, reports the latest
+// version to pollers, and — per request — performs the double-signature
+// step that grants update freshness (§III-A/B).
 //
 // For each device request the server receives a device token (device
 // ID, nonce, current version), copies it into the manifest, decides
@@ -12,9 +12,8 @@
 //
 // The server itself is a stateless prepare pipeline: all release state
 // lives behind the ReleaseStore interface (in memory by default,
-// durable on disk via FileStore), and announcements fan out
-// through an announce.Bus — so the repository and the notification
-// plane can each be swapped or shared without touching the pipeline.
+// durable on disk via FileStore), so the repository can be swapped or
+// shared without touching the pipeline.
 package updateserver
 
 import (
@@ -27,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"upkit/internal/announce"
 	"upkit/internal/dist"
 	"upkit/internal/httpapi"
 	"upkit/internal/manifest"
@@ -68,13 +66,6 @@ type Update struct {
 // TotalSize is the number of bytes that travel to the device.
 func (u *Update) TotalSize() int { return len(u.ManifestBytes) + len(u.Payload) }
 
-// Announcement notifies subscribers that a new version is available
-// (step 3 of Fig. 2).
-type Announcement struct {
-	AppID   uint32
-	Version uint16
-}
-
 // Server is the update server.
 type Server struct {
 	suite security.Suite
@@ -89,8 +80,6 @@ type Server struct {
 	// store holds the published releases; the server keeps no release
 	// state of its own.
 	store ReleaseStore
-	// bus fans new-release announcements out to subscribers.
-	bus *announce.Bus[Announcement]
 
 	// encMu guards the payload-encryption configuration, the server's
 	// only remaining mutable state.
@@ -270,7 +259,6 @@ func New(suite security.Suite, key *security.PrivateKey, opts ...Option) *Server
 	s := &Server{
 		suite:      suite,
 		key:        key,
-		bus:        announce.New[Announcement](announce.DefaultBuffer),
 		blocks:     dist.NewRegistry(0),
 		privBlocks: dist.NewRegistry(privateRegistryBytes),
 		tel:        telemetry.NewRegistry(),
@@ -420,9 +408,8 @@ func (s *Server) SetPayloadEncryption(key []byte, entropy io.Reader) error {
 	return nil
 }
 
-// Publish stores a vendor-signed image (step 2 of Fig. 2) and announces
-// it to subscribers. Images must arrive with strictly increasing
-// versions per app.
+// Publish stores a vendor-signed image (step 2 of Fig. 2). Images must
+// arrive with strictly increasing versions per app.
 func (s *Server) Publish(img *vendorserver.Image) error {
 	if img == nil {
 		return errors.New("updateserver: nil image")
@@ -434,44 +421,18 @@ func (s *Server) Publish(img *vendorserver.Image) error {
 	if s.retain > 0 {
 		s.store.Prune(s.retain)
 	}
-	// Free the patches to the superseded latest before anyone reacts to
-	// the announcement.
+	// Free the patches to the superseded latest.
 	s.cache.dropSuperseded(prev)
 
 	s.met.published.Inc()
-	s.bus.Publish(Announcement{AppID: img.Manifest.AppID, Version: img.Manifest.Version})
 	return nil
 }
-
-// Subscribe returns a channel receiving new-version announcements. The
-// channel is buffered; missed announcements are dropped (subscribers
-// can always poll Latest). Callers that stop listening must call
-// Unsubscribe, or the server accumulates dead channels for its whole
-// lifetime.
-func (s *Server) Subscribe() <-chan Announcement { return s.bus.Subscribe() }
-
-// Unsubscribe removes a channel obtained from Subscribe. The channel
-// is not closed (a Publish that already snapshotted the subscriber
-// list may still deliver one last buffered announcement); it simply
-// stops receiving and is released for garbage collection. Unknown
-// channels are ignored.
-func (s *Server) Unsubscribe(ch <-chan Announcement) { s.bus.Unsubscribe(ch) }
-
-// SubscriberCount reports the number of live announcement subscribers
-// (an operational leak indicator).
-func (s *Server) SubscriberCount() int { return s.bus.Count() }
 
 // LatestImage returns the newest vendor-signed image for app, or
 // ok=false. Baseline systems (mcumgr, LwM2M) distribute this image
 // as-is, without the per-request second signature.
 func (s *Server) LatestImage(appID uint32) (*vendorserver.Image, bool) {
 	return s.store.Latest(appID)
-}
-
-// ImageByVersion returns the stored image with exactly version v, or
-// ok=false (used by replay/downgrade attack experiments).
-func (s *Server) ImageByVersion(appID uint32, v uint16) (*vendorserver.Image, bool) {
-	return s.store.ByVersion(appID, v)
 }
 
 // Latest reports the newest published version for app, or ok=false.

@@ -179,24 +179,15 @@ func TestPublishRejectsStaleVersion(t *testing.T) {
 	}
 }
 
-func TestLatestAndSubscribe(t *testing.T) {
+func TestLatest(t *testing.T) {
 	s := newServers(t)
 	if _, ok := s.update.Latest(1); ok {
 		t.Fatal("Latest on empty server must report !ok")
 	}
-	ch := s.update.Subscribe()
 	s.publish(t, 1, 3, []byte("v3"))
 	v, ok := s.update.Latest(1)
 	if !ok || v != 3 {
 		t.Fatalf("Latest = (%d,%v), want (3,true)", v, ok)
-	}
-	select {
-	case ann := <-ch:
-		if ann.AppID != 1 || ann.Version != 3 {
-			t.Fatalf("announcement = %+v", ann)
-		}
-	default:
-		t.Fatal("no announcement delivered")
 	}
 }
 
@@ -227,10 +218,10 @@ func TestRetentionPrunesOldReleases(t *testing.T) {
 		s.publish(t, 1, v, fw)
 	}
 	// Only v4 and v5 remain.
-	if _, ok := s.update.ImageByVersion(1, 3); ok {
+	if _, ok := s.update.Store().ByVersion(1, 3); ok {
 		t.Fatal("pruned release still present")
 	}
-	if _, ok := s.update.ImageByVersion(1, 4); !ok {
+	if _, ok := s.update.Store().ByVersion(1, 4); !ok {
 		t.Fatal("retained release missing")
 	}
 	if v, _ := s.update.Latest(1); v != 5 {
