@@ -131,7 +131,7 @@ func run() error {
 		// in-flight computations may still persist their results.
 		defer ps.Close()
 		st := ps.Stats()
-		fmt.Printf("patch store %s: %d patches, %d bytes", *patchDir, st.Entries, st.Bytes)
+		fmt.Printf("patch store %s: %d records, %d bytes", *patchDir, st.Entries, st.Bytes)
 		if st.TornTails > 0 {
 			fmt.Printf(", %d torn log tail(s) truncated", st.TornTails)
 		}

@@ -17,11 +17,25 @@ import "bytes"
 // Diff computes a patch that transforms old into new. Apply the result
 // with Apply or stream it through an Applier.
 func Diff(old, new []byte) []byte {
-	return diffWith(buildSuffixArray(old), old, new)
+	return DiffIndexed(BuildIndex(old), old, new)
 }
 
-// diffWith is Diff given the suffix array of old.
-func diffWith(sa []int32, old, new []byte) []byte {
+// BuildIndex returns the index Diff builds over old before it scans:
+// old's suffix array — the start offsets of all suffixes in
+// lexicographic order, a suffix sorting before every longer suffix it
+// is a prefix of. It takes 4 bytes per byte of old and the larger part
+// of a diff's time, so a caller diffing several files against one old
+// can build it once and pass it to DiffIndexed.
+func BuildIndex(old []byte) []int32 {
+	return sais(old, 255)
+}
+
+// DiffIndexed is Diff given an index over old. sa must hold len(old)
+// entries, each in [0, len(old)). Any such array yields a patch that
+// Apply turns into new: a match is only taken where old and new agree.
+// Only BuildIndex(old) yields Diff's patch, byte for byte; another
+// array can only make the patch larger.
+func DiffIndexed(sa []int32, old, new []byte) []byte {
 	var p patchWriter
 	p.writeHeader(len(old), len(new))
 

@@ -2,10 +2,12 @@ package bsdiff
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"upkit/internal/lzss"
 )
@@ -241,6 +243,85 @@ func TestQuickDerivedImages(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDiffIndexedAnyInRangeIndex: DiffIndexed over BuildIndex is Diff
+// byte for byte, and over any other array of in-range entries — a
+// reversed suffix array, all zeros — still reproduces the new image.
+func TestDiffIndexedAnyInRangeIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	old := make([]byte, 4096)
+	for i := range old {
+		old[i] = byte(rng.Intn(16))
+	}
+	new := bytes.Clone(old)
+	copy(new[1000:], "an edit in the middle")
+	new = append(new, "and a tail"...)
+
+	sa := BuildIndex(old)
+	if !bytes.Equal(DiffIndexed(sa, old, new), Diff(old, new)) {
+		t.Fatal("DiffIndexed over BuildIndex differs from Diff")
+	}
+	reversed := make([]int32, len(sa))
+	for i, v := range sa {
+		reversed[len(sa)-1-i] = v
+	}
+	for name, idx := range map[string][]int32{"reversed": reversed, "zeros": make([]int32, len(old))} {
+		got, err := Apply(old, DiffIndexed(idx, old, new))
+		if err != nil || !bytes.Equal(got, new) {
+			t.Fatalf("%s index: patch does not reproduce the new image (err %v)", name, err)
+		}
+	}
+}
+
+// FuzzApplierRawPatch feeds arbitrary bytes to an Applier, in chunks of
+// a fuzzed size, over an arbitrary old image: it must never panic,
+// never emit more than the header's declared new size, return from
+// every Feed, and only accept (Close == nil) after emitting exactly
+// that size.
+func FuzzApplierRawPatch(f *testing.F) {
+	old := bytes.Repeat([]byte("applier-fuzz-old-"), 20)
+	new := bytes.Clone(old)
+	copy(new[40:], "edited")
+	patch := Diff(old, new)
+	f.Add(old, patch, uint8(7))
+	f.Add(old, patch[:len(patch)/2], uint8(0))
+	f.Add([]byte{}, Diff(nil, []byte("from nothing")), uint8(3))
+	f.Add(old, patch[:patchHeaderSize], uint8(255))
+	f.Add([]byte("x"), []byte("UPBSDIF1\x00\x00\x00\x01\xff\xff\xff\xff\x00\x00\x00\x00"), uint8(1))
+	f.Fuzz(func(t *testing.T, old, patch []byte, cut uint8) {
+		declared := -1
+		if len(patch) >= patchHeaderSize && string(patch[:len(patchMagic)]) == patchMagic {
+			declared = int(binary.BigEndian.Uint32(patch[len(patchMagic)+4:]))
+		}
+		a := NewApplier(bytes.NewReader(old))
+		emitted := 0
+		emit := func(p []byte) error {
+			emitted += len(p)
+			if declared < 0 || emitted > declared {
+				t.Errorf("emitted %d bytes, header declares %d", emitted, declared)
+			}
+			return nil
+		}
+		step := int(cut)%64 + 1
+		for len(patch) > 0 {
+			n := min(step, len(patch))
+			done := make(chan error, 1)
+			go func(chunk []byte) { done <- a.Feed(chunk, emit) }(patch[:n])
+			select {
+			case err := <-done:
+				if err != nil {
+					return // rejected: the property is only that it returned
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Feed of %d bytes did not return", n)
+			}
+			patch = patch[n:]
+		}
+		if a.Close() == nil && emitted != declared {
+			t.Fatalf("accepted a patch after emitting %d of %d bytes", emitted, declared)
+		}
+	})
 }
 
 func BenchmarkDiff64kB(b *testing.B) {

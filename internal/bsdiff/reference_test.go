@@ -54,14 +54,13 @@ func referenceSuffixArray(data []byte) []int32 {
 
 // referenceDiff is Diff over the reference suffix array.
 func referenceDiff(old, new []byte) []byte {
-	return diffWith(referenceSuffixArray(old), old, new)
+	return DiffIndexed(referenceSuffixArray(old), old, new)
 }
 
 // Exported to the external test package, which can import testbed for
 // firmware-shaped inputs (an in-package test cannot: testbed reaches
 // bsdiff through the update server).
 var (
-	BuildSuffixArray     = buildSuffixArray
 	ReferenceSuffixArray = referenceSuffixArray
 	ReferenceDiff        = referenceDiff
 )

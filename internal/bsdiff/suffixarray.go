@@ -1,12 +1,5 @@
 package bsdiff
 
-// buildSuffixArray returns the suffix array of data: the start offsets
-// of all suffixes in lexicographic order, a suffix sorting before every
-// longer suffix it is a prefix of.
-func buildSuffixArray(data []byte) []int32 {
-	return sais(data, 255)
-}
-
 // sais is SA-IS (Nong, Zhang and Chan, "Two Efficient Algorithms for
 // Linear Time Suffix Array Construction", 2009): classify every suffix
 // as L-type (larger than its right neighbour) or S-type, sort only the

@@ -17,7 +17,7 @@ import (
 
 func checkSuffixArray(t *testing.T, label string, data []byte) {
 	t.Helper()
-	got, want := bsdiff.BuildSuffixArray(data), bsdiff.ReferenceSuffixArray(data)
+	got, want := bsdiff.BuildIndex(data), bsdiff.ReferenceSuffixArray(data)
 	if !slices.Equal(got, want) {
 		for i := range want {
 			if i >= len(got) || got[i] != want[i] {
@@ -139,6 +139,6 @@ func BenchmarkSuffixArray128k(b *testing.B) {
 	data := testbed.MakeFirmware("sa-bench", 128<<10)
 	b.SetBytes(int64(len(data)))
 	for b.Loop() {
-		bsdiff.BuildSuffixArray(data)
+		bsdiff.BuildIndex(data)
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 const (
@@ -156,6 +157,7 @@ func appendRecord(dst []byte, magic uint32, parts ...[]byte) []byte {
 	for _, p := range parts {
 		n += len(p)
 	}
+	dst = slices.Grow(dst, header+n+trailer)
 	dst = binary.BigEndian.AppendUint32(dst, magic)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
 	for _, p := range parts {

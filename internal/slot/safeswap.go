@@ -1,7 +1,6 @@
 package slot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -157,27 +156,4 @@ func SafeSwap(a, b *Slot, scratch, journal flash.Region) error {
 		return fmt.Errorf("slot: journal clear: %w", err)
 	}
 	return nil
-}
-
-// equalRegions is a test helper used by safe-swap tests to compare
-// regions efficiently.
-func equalRegions(a, b flash.Region) (bool, error) {
-	if a.Length != b.Length {
-		return false, nil
-	}
-	bufA := make([]byte, 4096)
-	bufB := make([]byte, 4096)
-	for off := 0; off < a.Length; off += len(bufA) {
-		n := min(len(bufA), a.Length-off)
-		if err := a.ReadAt(off, bufA[:n]); err != nil {
-			return false, err
-		}
-		if err := b.ReadAt(off, bufB[:n]); err != nil {
-			return false, err
-		}
-		if !bytes.Equal(bufA[:n], bufB[:n]) {
-			return false, nil
-		}
-	}
-	return true, nil
 }

@@ -9,6 +9,29 @@ import (
 	"upkit/internal/flash"
 )
 
+// equalRegions reports whether two regions hold the same bytes, read
+// sector-sized chunk by chunk.
+func equalRegions(a, b flash.Region) (bool, error) {
+	if a.Length != b.Length {
+		return false, nil
+	}
+	bufA := make([]byte, 4096)
+	bufB := make([]byte, 4096)
+	for off := 0; off < a.Length; off += len(bufA) {
+		n := min(len(bufA), a.Length-off)
+		if err := a.ReadAt(off, bufA[:n]); err != nil {
+			return false, err
+		}
+		if err := b.ReadAt(off, bufB[:n]); err != nil {
+			return false, err
+		}
+		if !bytes.Equal(bufA[:n], bufB[:n]) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 // swapRig builds two image-bearing slots plus scratch and journal
 // regions on one chip.
 type swapRig struct {

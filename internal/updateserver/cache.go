@@ -65,6 +65,12 @@ type CacheStats struct {
 	// that had to compute despite a disk tier being attached.
 	DiskHits   uint64 `json:"diskHits"`
 	DiskMisses uint64 `json:"diskMisses"`
+	// IndexBuilds counts bsdiff indexes (suffix arrays) built for a
+	// computation's base; IndexLoads counts the ones read back from the
+	// durable patch store instead. Without a store every computation
+	// builds one.
+	IndexBuilds uint64 `json:"indexBuilds"`
+	IndexLoads  uint64 `json:"indexLoads"`
 	// Entries and Bytes describe the current cache contents.
 	Entries int `json:"entries"`
 	Bytes   int `json:"bytes"`
@@ -91,12 +97,12 @@ type patchResult struct {
 func (r patchResult) size() int { return cap(r.patch) + cacheEntryOverhead }
 
 // computePatch derives the LZSS-compressed bsdiff patch from base to
-// target. A patch at least as large as the target image is
-// counterproductive and reported as non-viable. The patch is an
-// exact-length copy: the encoder's buffer is sized for the worst case,
-// several times a typical patch.
-func computePatch(base, target []byte) patchResult {
-	patch := lzss.Encode(bsdiff.Diff(base, target))
+// target, given base's bsdiff index sa. A patch at least as large as
+// the target image is counterproductive and reported as non-viable.
+// The patch is an exact-length copy: the encoder's buffer is sized for
+// the worst case, several times a typical patch.
+func computePatch(sa []int32, base, target []byte) patchResult {
+	patch := lzss.Encode(bsdiff.DiffIndexed(sa, base, target))
 	if len(patch) >= len(target) {
 		return patchResult{}
 	}
@@ -119,18 +125,23 @@ type patchCache struct {
 
 	// disk, when set, is the durable tier behind the memory one: memory
 	// misses probe it before diffing, and fresh computations are
-	// persisted to it, so warm patches survive a server restart. Its
-	// records are pinned to the same digests. Publish leaves it alone: a
-	// restarted server republishing the same images must find its warm
-	// set intact, and records for superseded pairs are garbage its own
-	// bound reclaims.
+	// persisted to it, so warm patches survive a server restart. It also
+	// holds each base's bsdiff index, so a cold pair from a known base
+	// skips the larger part of the diff. Its records are pinned to the
+	// same digests. Publish leaves it alone: a restarted server
+	// republishing the same images must find its warm set intact, and
+	// records for superseded pairs are garbage its own bound reclaims.
+	// An index is never kept in memory: at 4 bytes per firmware byte, a
+	// window of bases would outweigh the rest of the process.
 	disk *PatchStore
 
-	// compute derives a patch on a miss; it is computePatch outside of
-	// tests, which swap it to hold a computation in flight.
-	compute func(base, target []byte) patchResult
+	// compute derives a patch on a miss from base's index; it is
+	// computePatch outside of tests, which swap it to hold a
+	// computation in flight.
+	compute func(sa []int32, base, target []byte) patchResult
 
 	computations, invalidations, diskHits, diskMisses atomic.Uint64
+	indexBuilds, indexLoads                           atomic.Uint64
 }
 
 // newPatchCache bounds the memory tier to maxBytes (<= 0 disables
@@ -147,19 +158,31 @@ func newPatchCache(maxBytes int, disk *PatchStore) *patchCache {
 // resolve returns the differential payload from base to target, whose
 // digests are baseDig and targetDig, computing it at most once across
 // concurrent callers: memory tier, then the durable tier under key,
-// then bsdiff+LZSS. Callers must not mutate the returned patch — clone
-// before handing it out.
+// then bsdiff+LZSS over base's index — read back from the durable tier
+// when it holds one, else built. Callers must not mutate the returned
+// patch — clone before handing it out.
 func (c *patchCache) resolve(key patchKey, baseDig, targetDig security.Digest, base, target []byte) patchResult {
 	computed := false
+	var built []int32 // an index this call built, persisted with the patch
 	res, _ := c.mem.Do(digestPair{baseDig, targetDig}, func() (patchResult, error) {
+		var sa []int32
 		if c.disk != nil {
 			if res, ok := c.disk.Get(key, baseDig, targetDig); ok {
 				c.diskHits.Add(1)
 				return res, nil
 			}
 			c.diskMisses.Add(1)
+			if idx, ok := c.disk.GetIndex(key.appID, key.from, baseDig, len(base)); ok {
+				c.indexLoads.Add(1)
+				sa = idx
+			}
 		}
-		res := c.compute(base, target)
+		if sa == nil {
+			sa = bsdiff.BuildIndex(base)
+			c.indexBuilds.Add(1)
+			built = sa
+		}
+		res := c.compute(sa, base, target)
 		c.computations.Add(1)
 		computed = true
 		return res, nil
@@ -167,8 +190,11 @@ func (c *patchCache) resolve(key patchKey, baseDig, targetDig security.Digest, b
 	if computed && c.disk != nil {
 		// Persist after the waiters are released: disk latency must not
 		// extend the herd's wait. A failed append only costs durability
-		// of this one patch.
+		// of this one patch or index.
 		_ = c.disk.Put(key, baseDig, targetDig, res)
+		if built != nil {
+			_ = c.disk.PutIndex(key.appID, key.from, baseDig, built)
+		}
 	}
 	return res
 }
@@ -200,6 +226,8 @@ func (c *patchCache) stats() CacheStats {
 		Invalidations: c.invalidations.Load(),
 		DiskHits:      c.diskHits.Load(),
 		DiskMisses:    c.diskMisses.Load(),
+		IndexBuilds:   c.indexBuilds.Load(),
+		IndexLoads:    c.indexLoads.Load(),
 		Entries:       st.Entries,
 		Bytes:         st.Bytes,
 	}

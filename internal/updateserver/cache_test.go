@@ -122,12 +122,12 @@ func TestInflightDiffSurvivesPublish(t *testing.T) {
 	cache := s.update.cache
 	entered, release := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int32
-	cache.compute = func(base, target []byte) patchResult {
+	cache.compute = func(sa []int32, base, target []byte) patchResult {
 		if calls.Add(1) == 1 {
 			close(entered)
 			<-release
 		}
-		return computePatch(base, target)
+		return computePatch(sa, base, target)
 	}
 	done := make(chan error)
 	go func() {

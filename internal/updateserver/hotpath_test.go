@@ -128,12 +128,12 @@ func TestDisabledCacheKeepsSingleflight(t *testing.T) {
 	// joined it, so the herd is a herd however the goroutines are
 	// scheduled.
 	cache := s.update.cache
-	cache.compute = func(base, target []byte) patchResult {
+	cache.compute = func(sa []int32, base, target []byte) patchResult {
 		deadline := time.Now().Add(10 * time.Second)
 		for cache.stats().Waits < devices-1 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		return computePatch(base, target)
+		return computePatch(sa, base, target)
 	}
 	var start, wg sync.WaitGroup
 	start.Add(1)

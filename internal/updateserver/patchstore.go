@@ -16,9 +16,12 @@ import (
 // PatchStore is the durable tier behind the in-memory patch cache:
 // every differential payload the server computes is appended to a
 // framelog.Log, so a restarted server serves warm patches without
-// redoing a single bsdiff. A Put is fsynced before the patch becomes
-// visible to Get, replay truncates a torn tail, and dead records are
-// compacted away under framelog's rule.
+// redoing a single bsdiff. Beside the patches it keeps each base
+// release's bsdiff index (its suffix array, bsdiff.BuildIndex), so a
+// cold pair from a known base reads the index back instead of
+// rebuilding it — the larger part of a diff. A Put is fsynced before
+// the patch becomes visible to Get, replay truncates a torn tail, and
+// dead records are compacted away under framelog's rule.
 //
 // On-disk format, one file (`patches.log`) of framelog records with
 // magic "UPPD", in write order, whose payload is (big endian):
@@ -33,11 +36,21 @@ import (
 // from: a Get whose digests differ (the release store changed under
 // the same version numbers) is a miss and drops the stale entry.
 //
-// The index (key → record frame) is an lru.Cache bounded by live patch
-// bytes; patch bytes stay on disk and are re-read and CRC-checked on
-// every hit, so a corrupted record degrades to a cache miss, never to a
-// wrong patch. Compaction writes the live records least recently used
-// first, so a replay restores the same recency order.
+// flags bit 1 marks an index record: the bsdiff index of release
+// `from`, keyed (appID, from, from) with both digests the release's,
+// whose bytes are its suffix array as u32 entries. No patch has from ==
+// to, so the two kinds never share a key. An index record sets bit 0
+// too, so a reader that predates bit 1 indexes it as a patch for a pair
+// nobody requests instead of rejecting it and truncating the log there.
+// A stored index is used only when its length is the release's and
+// every entry lies inside the release; anything else is a miss.
+//
+// The index (key → record frame) is an lru.Cache bounded by live
+// record bytes, patches and indexes alike; record bytes stay on disk
+// and are re-read and CRC-checked on every hit, so a corrupted record
+// degrades to a cache miss, never to a wrong patch. Nothing read back
+// is kept in memory. Compaction writes the live records least recently
+// used first, so a replay restores the same recency order.
 type PatchStore struct {
 	mu     sync.Mutex
 	dir    string
@@ -55,7 +68,8 @@ type diskEntry struct {
 	base   security.Digest
 	target security.Digest
 	viable bool
-	bytes  int // patch payload bytes (0 for non-viable)
+	index  bool // a base release's bsdiff index, not a patch
+	bytes  int  // record payload bytes past the meta (0 for non-viable)
 }
 
 // DefaultPatchStoreBytes bounds a PatchStore opened with n <= 0: room
@@ -66,6 +80,7 @@ const (
 	patchRecMagic   uint32 = 0x55505044 // "UPPD"
 	patchMetaSize          = 4 + 2 + 2 + 1 + 2*security.DigestSize
 	patchFlagViable        = 1 << 0
+	patchFlagIndex         = 1 << 1
 	patchLogName           = "patches.log"
 )
 
@@ -109,15 +124,11 @@ func OpenPatchStore(dir string, maxBytes int) (*PatchStore, error) {
 func (s *PatchStore) Dir() string { return s.dir }
 
 // patchMeta encodes a record's fixed-size head.
-func patchMeta(key patchKey, base, target security.Digest, viable bool) []byte {
+func patchMeta(key patchKey, base, target security.Digest, flags byte) []byte {
 	meta := make([]byte, 0, patchMetaSize)
 	meta = binary.BigEndian.AppendUint32(meta, key.appID)
 	meta = binary.BigEndian.AppendUint16(meta, key.from)
 	meta = binary.BigEndian.AppendUint16(meta, key.to)
-	var flags byte
-	if viable {
-		flags |= patchFlagViable
-	}
 	meta = append(meta, flags)
 	meta = append(meta, base[:]...)
 	return append(meta, target[:]...)
@@ -135,13 +146,41 @@ func decodePatch(p []byte) (key patchKey, e *diskEntry, patch []byte, ok bool) {
 		to:    binary.BigEndian.Uint16(p[6:]),
 	}
 	patch = p[patchMetaSize:]
-	e = &diskEntry{viable: p[8]&patchFlagViable != 0, bytes: len(patch)}
+	e = &diskEntry{viable: p[8]&patchFlagViable != 0, index: p[8]&patchFlagIndex != 0, bytes: len(patch)}
 	copy(e.base[:], p[9:])
 	copy(e.target[:], p[9+security.DigestSize:])
 	if !e.viable && len(patch) != 0 {
 		return key, nil, nil, false // a non-viable record carries no patch
 	}
+	if e.index && (!e.viable || key.from != key.to || e.base != e.target) {
+		return key, nil, nil, false // an index is keyed and pinned to one release
+	}
 	return key, e, patch, true
+}
+
+// indexKey is the record key of release version's index.
+func indexKey(appID uint32, version uint16) patchKey {
+	return patchKey{appID: appID, from: version, to: version}
+}
+
+// decodeIndex parses an index record payload for a release of n bytes
+// into its key and suffix array. ok is false unless the record is an
+// index of exactly n entries, each in [0, n): an array that passes can
+// make a patch larger, never wrong (bsdiff.DiffIndexed).
+func decodeIndex(p []byte, n int) (key patchKey, sa []int32, ok bool) {
+	key, e, body, ok := decodePatch(p)
+	if !ok || !e.index || len(body) != 4*n {
+		return key, nil, false
+	}
+	sa = make([]int32, n)
+	for i := range sa {
+		v := binary.BigEndian.Uint32(body[4*i:])
+		if v >= uint32(n) {
+			return key, nil, false
+		}
+		sa[i] = int32(v)
+	}
+	return key, sa, true
 }
 
 // Put persists res for key, computed from firmware with the given
@@ -149,18 +188,44 @@ func decodePatch(p []byte) (key patchKey, e *diskEntry, patch []byte, ok bool) {
 // crash never loses an acknowledged patch — at worst it leaves a torn
 // tail that replay drops.
 func (s *PatchStore) Put(key patchKey, base, target security.Digest, res patchResult) error {
-	meta := patchMeta(key, base, target, res.viable)
+	var flags byte
+	if res.viable {
+		flags = patchFlagViable
+	}
+	return s.put(key, &diskEntry{base: base, target: target, viable: res.viable}, flags, res.patch)
+}
+
+// PutIndex persists sa, the bsdiff index of release version of appID
+// whose firmware digest is dig, fsynced like Put.
+func (s *PatchStore) PutIndex(appID uint32, version uint16, dig security.Digest, sa []int32) error {
+	e := &diskEntry{base: dig, target: dig, viable: true, index: true}
+	return s.put(indexKey(appID, version), e, patchFlagViable|patchFlagIndex, encodeIndex(sa))
+}
+
+// encodeIndex is an index record's body: sa's entries as u32.
+func encodeIndex(sa []int32) []byte {
+	body := make([]byte, 4*len(sa))
+	for i, v := range sa {
+		binary.BigEndian.PutUint32(body[4*i:], uint32(v))
+	}
+	return body
+}
+
+// put appends one record and indexes it as e.
+func (s *PatchStore) put(key patchKey, e *diskEntry, flags byte, body []byte) error {
+	meta := patchMeta(key, e.base, e.target, flags)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrPatchStoreClosed
 	}
-	fr, err := s.log.Append(meta, res.patch)
+	fr, err := s.log.Append(meta, body)
 	if err != nil {
-		return fmt.Errorf("updateserver: append patch: %w", err)
+		return fmt.Errorf("updateserver: append patch record: %w", err)
 	}
 	s.puts++
-	s.index.Add(key, &diskEntry{frame: fr, base: base, target: target, viable: res.viable, bytes: len(res.patch)})
+	e.frame, e.bytes = fr, len(body)
+	s.index.Add(key, e)
 	s.compactLocked()
 	return nil
 }
@@ -192,6 +257,44 @@ func (s *PatchStore) Get(key patchKey, base, target security.Digest) (patchResul
 		res.patch = exactCopy(patch)
 	}
 	return res, true
+}
+
+// GetIndex returns the stored bsdiff index of release version of
+// appID if it was built from firmware with digest dig, n bytes long.
+// The record is re-read and CRC-checked, and its entries range-checked
+// against n; any mismatch drops the entry and is a miss.
+func (s *PatchStore) GetIndex(appID uint32, version uint16, dig security.Digest, n int) ([]int32, bool) {
+	key := indexKey(appID, version)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, false
+	}
+	e, ok := s.index.Get(key)
+	var sa []int32
+	if ok {
+		sa, ok = s.readIndexLocked(key, e, dig, n)
+	}
+	if !ok {
+		s.index.Remove(key)
+		return nil, false
+	}
+	return sa, true
+}
+
+// readIndexLocked reads e's index back if e is an index built from
+// firmware with digest dig and its record still decodes as key's for a
+// release of n bytes.
+func (s *PatchStore) readIndexLocked(key patchKey, e *diskEntry, dig security.Digest, n int) ([]int32, bool) {
+	if !e.index || e.base != dig {
+		return nil, false
+	}
+	p, err := s.log.ReadAt(e.frame)
+	if err != nil {
+		return nil, false
+	}
+	k, sa, ok := decodeIndex(p, n)
+	return sa, ok && k == key
 }
 
 // readLocked reads e's patch back if e was computed from base and
@@ -227,7 +330,8 @@ func (s *PatchStore) compactLocked() {
 // PatchStoreStats is a snapshot of the store's counters; its sizes are
 // exposed as the upkit_patch_store_* gauges.
 type PatchStoreStats struct {
-	// Hits and Misses count Get lookups; Puts counts persisted results.
+	// Hits and Misses count patch lookups (Get); Puts counts persisted
+	// records, indexes included.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	Puts   uint64 `json:"puts"`
@@ -237,8 +341,9 @@ type PatchStoreStats struct {
 	Compactions uint64 `json:"compactions"`
 	// TornTails counts torn tail records dropped at startup.
 	TornTails int `json:"tornTails"`
-	// Entries and Bytes describe the live index; FileBytes is the log
-	// size on disk, dead records included.
+	// Entries and Bytes describe the live records, patches and base
+	// indexes alike; FileBytes is the log size on disk, dead records
+	// included.
 	Entries   int `json:"entries"`
 	Bytes     int `json:"bytes"`
 	FileBytes int `json:"fileBytes"`

@@ -154,7 +154,10 @@ func WithPatchCacheSize(n int) Option {
 // WithPatchStore attaches a durable patch store behind the in-memory
 // patch cache: memory misses probe it before diffing, fresh
 // computations are persisted to it, and a restarted server given the
-// same store serves warm patches without redoing a single bsdiff. The
+// same store serves warm patches without redoing a single bsdiff. It
+// also keeps each base release's bsdiff index, so a cold pair from a
+// base diffed before reads the index back instead of rebuilding it
+// (CacheStats.IndexLoads against IndexBuilds). The
 // caller keeps ownership and closes the store on shutdown, mirroring
 // WithStore.
 func WithPatchStore(ps *PatchStore) Option {
@@ -317,12 +320,14 @@ func (s *Server) initTelemetry() {
 	reg.GaugeFunc("upkit_patch_cache_bytes", "Current cached patch bytes.", stat(func(c CacheStats) float64 { return float64(c.Bytes) }))
 	reg.CounterFunc("upkit_patch_disk_hits_total", "Memory-tier misses served by the durable patch store.", stat(func(c CacheStats) float64 { return float64(c.DiskHits) }))
 	reg.CounterFunc("upkit_patch_disk_misses_total", "Diffs computed despite an attached patch store.", stat(func(c CacheStats) float64 { return float64(c.DiskMisses) }))
+	reg.CounterFunc("upkit_patch_index_builds_total", "Bsdiff base indexes (suffix arrays) built for a diff.", stat(func(c CacheStats) float64 { return float64(c.IndexBuilds) }))
+	reg.CounterFunc("upkit_patch_index_loads_total", "Bsdiff base indexes read back from the durable patch store.", stat(func(c CacheStats) float64 { return float64(c.IndexLoads) }))
 	if s.patchStore != nil {
 		pstat := func(read func(PatchStoreStats) float64) func() float64 {
 			return func() float64 { return read(s.patchStore.Stats()) }
 		}
-		reg.GaugeFunc("upkit_patch_store_entries", "Patches indexed in the durable patch store.", pstat(func(st PatchStoreStats) float64 { return float64(st.Entries) }))
-		reg.GaugeFunc("upkit_patch_store_bytes", "Live patch bytes in the durable patch store.", pstat(func(st PatchStoreStats) float64 { return float64(st.Bytes) }))
+		reg.GaugeFunc("upkit_patch_store_entries", "Patches and base indexes held by the durable patch store.", pstat(func(st PatchStoreStats) float64 { return float64(st.Entries) }))
+		reg.GaugeFunc("upkit_patch_store_bytes", "Live patch and base-index bytes in the durable patch store.", pstat(func(st PatchStoreStats) float64 { return float64(st.Bytes) }))
 		reg.GaugeFunc("upkit_patch_store_file_bytes", "Patch log size on disk, dead records included.", pstat(func(st PatchStoreStats) float64 { return float64(st.FileBytes) }))
 	}
 
