@@ -12,11 +12,9 @@
 // A matching device simulation (cmd/upkit-device) can then pull updates
 // from it over a real UDP socket.
 //
-// With -campaigns (or -campaigns-state <dir>) the HTTP API also serves
-// the campaign control plane: POST /api/v1/campaigns creates a staged
-// rollout from a device census and policy, GET polls its live
-// progress, and pause/resume/abort manage it — see internal/
-// controlplane and the README's "Operating a rollout" section.
+// The server only answers: devices and gateways poll it for the latest
+// version and pull the update themselves (§III-B). Staged rollouts
+// across a fleet are internal/fleet's, which drives devices directly.
 //
 // Serve-path scaling flags: -patch-state <dir> persists computed
 // differential patches across restarts, and -signers N bounds
@@ -38,7 +36,6 @@ import (
 	"time"
 
 	"upkit/internal/coap"
-	"upkit/internal/controlplane"
 	"upkit/internal/manifest"
 	"upkit/internal/security"
 	"upkit/internal/updateserver"
@@ -68,21 +65,12 @@ func run() error {
 	seed := flag.String("seed", "", "derive the server key from a seed (simulation only)")
 	suiteName := flag.String("suite", "tinycrypt", "crypto suite")
 	stateDir := flag.String("state", "", "directory for the durable release store; empty keeps releases in memory only")
-	campaigns := flag.Bool("campaigns", false, "serve the campaign control plane under /api/v1/campaigns (requires -http)")
-	campaignDir := flag.String("campaigns-state", "", "persistence directory for campaigns; empty keeps them in memory only")
 	patchDir := flag.String("patch-state", "", "directory for the durable patch store; empty recomputes patches after every restart")
 	signers := flag.Int("signers", 0, "parallel manifest-signing pool size (0 disables the pool, negative = GOMAXPROCS)")
 	var images imageList
 	flag.Var(&images, "image", "vendor-signed image file (.upk); repeatable")
 	keysPath := flag.String("keys", "", "key bundle file (.ukb) served at /api/v1/keys and /upkit/keys")
 	flag.Parse()
-
-	if *campaignDir != "" {
-		*campaigns = true
-	}
-	if *campaigns && *httpAddr == "" {
-		return fmt.Errorf("-campaigns needs -http: the control plane is an HTTP surface")
-	}
 
 	suite, err := security.SuiteByName(*suiteName, nil)
 	if err != nil {
@@ -140,22 +128,6 @@ func run() error {
 	}
 	if *signers != 0 {
 		serverOpts = append(serverOpts, updateserver.WithSigners(*signers))
-	}
-
-	if *campaigns {
-		mgr, err := controlplane.NewManager(controlplane.Config{Dir: *campaignDir})
-		if err != nil {
-			return err
-		}
-		// Close aborts in-flight runs and persists their checkpoints, so
-		// a drained shutdown leaves every campaign resumable.
-		defer mgr.Close()
-		serverOpts = append(serverOpts, updateserver.WithRoutes(mgr.Register))
-		if *campaignDir != "" {
-			fmt.Printf("campaign control plane on /api/v1/campaigns (state in %s)\n", *campaignDir)
-		} else {
-			fmt.Println("campaign control plane on /api/v1/campaigns (memory only)")
-		}
 	}
 
 	server := updateserver.New(suite, key, serverOpts...)

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 )
@@ -97,7 +97,7 @@ func TestStageBoundsFromPolicy(t *testing.T) {
 
 func TestMultiStageRollout(t *testing.T) {
 	devs := makeFleet(20, 1, 2)
-	c, err := New(2, Policy{Stages: []float64{0.1, 0.5, 1}, Parallelism: 4, Shards: 4}, updaters(devs))
+	c, err := New(2, Policy{Stages: []float64{0.1, 0.5, 1}, Parallelism: 4}, updaters(devs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMultiStageRollout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, report, 20, 0, 0, 0)
+	checkCounts(t, report, 20, 0, 0)
 	sizes := []int{2, 8, 10}
 	if len(report.Stages) != 3 {
 		t.Fatalf("stage summaries = %d, want 3\n%s", len(report.Stages), report.Render())
@@ -134,7 +134,7 @@ func TestStageGateAbortsMidCampaign(t *testing.T) {
 	if errors.Is(err, ErrBreakerTripped) {
 		t.Fatalf("stage-boundary gate reported as breaker trip: %v", err)
 	}
-	checkCounts(t, report, 2, 8, 10, 0)
+	checkCounts(t, report, 2, 8, 10)
 	for _, d := range devs[10:] {
 		if d.attempts.Load() != 0 {
 			t.Fatalf("device %#x beyond the failed stage was attempted", d.id)
@@ -155,7 +155,6 @@ func TestCircuitBreakerTripsMidWave(t *testing.T) {
 	}
 	c, err := New(2, Policy{
 		Parallelism:        4,
-		Shards:             8,
 		BreakerFailureRate: 0.5,
 		BreakerMinSample:   25,
 	}, updaters(devs))
@@ -169,9 +168,9 @@ func TestCircuitBreakerTripsMidWave(t *testing.T) {
 	if !report.Aborted {
 		t.Fatal("report not marked aborted")
 	}
-	u, f, s, p := report.Updated, report.Failed, report.Skipped, report.Pending
-	if u != 0 || p != 0 {
-		t.Fatalf("counts = %d/%d/%d/%d, want no updates or pending", u, f, s, p)
+	u, f, s := report.Updated, report.Failed, report.Skipped
+	if u != 0 {
+		t.Fatalf("counts = %d/%d/%d, want no updates", u, f, s)
 	}
 	if f < 25 {
 		t.Fatalf("failed = %d, want at least the breaker min sample (25)", f)
@@ -191,7 +190,6 @@ func TestCircuitBreakerRespectsMinSample(t *testing.T) {
 	devs[0].failures.Store(1000) // a single early failure: 100% rate at sample 1
 	c, err := New(2, Policy{
 		Parallelism:        1,
-		Shards:             1,
 		BreakerFailureRate: 0.5,
 		BreakerMinSample:   10,
 	}, updaters(devs))
@@ -202,180 +200,147 @@ func TestCircuitBreakerRespectsMinSample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("breaker tripped below its min sample: %v", err)
 	}
-	checkCounts(t, report, 9, 1, 0, 0)
+	checkCounts(t, report, 9, 1, 0)
 }
 
-// --- checkpoint / resume ---
+// --- exactly-once dispatch under a concurrent halt ---
 
-// cancelOnNthResult cancels a context after n results have streamed.
-func cancelOnNthResult(n int, cancel context.CancelFunc) func(Result) {
-	var seen atomic.Int64
-	return func(Result) {
-		if seen.Add(1) == int64(n) {
-			cancel()
+// cancelAt cancels a campaign's context from inside the at-th
+// TryUpdate across the fleet. Calls are numbered under mu, so every
+// call numbered past at starts after the cancel has happened.
+type cancelAt struct {
+	mu     sync.Mutex
+	calls  int
+	at     int
+	cancel context.CancelFunc
+}
+
+// cancelAtDevice is a fakeDevice whose attempts report to a shared
+// cancelAt.
+type cancelAtDevice struct {
+	*fakeDevice
+	hub *cancelAt
+}
+
+func (d *cancelAtDevice) TryUpdate() (uint16, error) {
+	d.hub.mu.Lock()
+	d.hub.calls++
+	if d.hub.calls == d.hub.at {
+		d.hub.cancel()
+	}
+	d.hub.mu.Unlock()
+	return d.fakeDevice.TryUpdate()
+}
+
+func TestConcurrentCancelSettlesEachDeviceOnce(t *testing.T) {
+	const n, parallelism = 200, 4
+	// The stages end at devices 20, 100 and 200. A cancel at the 20th
+	// attempt lands on the canary stage's last device; at the 50th and
+	// 150th it lands mid-stage, where every worker races the halt for
+	// its next claim.
+	for _, at := range []int{20, 50, 150} {
+		devs := makeFleet(n, 1, 2)
+		ctx, cancel := context.WithCancel(context.Background())
+		hub := &cancelAt{at: at, cancel: cancel}
+		ups := make([]Updater, n)
+		for i, d := range devs {
+			ups[i] = &cancelAtDevice{fakeDevice: d, hub: hub}
+		}
+		c, err := New(2, Policy{
+			Parallelism: parallelism,
+			Stages:      []float64{0.1, 0.5, 1},
+			MaxResults:  n, // keep every result
+		}, ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := c.RunContext(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at %d: error = %v, want context.Canceled", at, err)
+		}
+		if got := report.Updated + report.Failed + report.Skipped; got != n {
+			t.Fatalf("cancel at %d: %d+%d+%d outcomes, want %d", at,
+				report.Updated, report.Failed, report.Skipped, n)
+		}
+		status := make(map[uint32]Status, n)
+		for _, res := range report.Results {
+			if _, dup := status[res.DeviceID]; dup {
+				t.Fatalf("cancel at %d: device %#x settled twice", at, res.DeviceID)
+			}
+			status[res.DeviceID] = res.Status
+		}
+		calls := 0
+		for _, d := range devs {
+			st, ok := status[d.id]
+			if !ok {
+				t.Fatalf("cancel at %d: device %#x has no result", at, d.id)
+			}
+			a := int(d.attempts.Load())
+			switch {
+			case a > 1:
+				t.Fatalf("cancel at %d: device %#x attempted %d times", at, d.id, a)
+			case st == StatusSkipped && a != 0:
+				t.Fatalf("cancel at %d: skipped device %#x was attempted", at, d.id)
+			case st != StatusSkipped && a != 1:
+				t.Fatalf("cancel at %d: device %#x is %v without an attempt", at, d.id, st)
+			}
+			calls += a
+		}
+		// The halt stops the pool: past the cancelling attempt, each
+		// other worker starts at most the device it had already claimed
+		// and re-checked.
+		if calls < at || calls > at+parallelism-1 {
+			t.Fatalf("cancel at %d: %d attempts, want %d..%d", at, calls, at, at+parallelism-1)
 		}
 	}
 }
 
-func TestCheckpointResumeRoundTrip(t *testing.T) {
-	const n = 60
+// gateDevice blocks each TryUpdate until released, so a test can hold
+// a campaign mid-flight deterministically.
+type gateDevice struct {
+	*fakeDevice
+	started chan struct{} // receives one token per attempt start
+	release chan struct{} // one token releases one attempt
+}
+
+func (d *gateDevice) TryUpdate() (uint16, error) {
+	d.started <- struct{}{}
+	<-d.release
+	return d.fakeDevice.TryUpdate()
+}
+
+func TestConcurrentRunRefused(t *testing.T) {
+	const n = 4
 	devs := makeFleet(n, 1, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	pol := Policy{Parallelism: 4, Shards: 8, Stages: []float64{0.1, 1}}
-	pol.OnResult = cancelOnNthResult(20, cancel)
-	c, err := New(2, pol, updaters(devs))
+	started := make(chan struct{}, n)
+	release := make(chan struct{}, n)
+	ups := make([]Updater, n)
+	for i, d := range devs {
+		ups[i] = &gateDevice{fakeDevice: d, started: started, release: release}
+	}
+	c, err := New(2, Policy{Parallelism: 1}, ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := c.RunContext(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = c.RunContext(context.Background())
+	}()
+	<-started
+	if _, err := c.RunContext(context.Background()); !errors.Is(err, ErrAlreadyRunning) {
+		t.Fatalf("second run = %v, want ErrAlreadyRunning", err)
 	}
-	u1, _, s1, _ := report.Updated, report.Failed, report.Skipped, report.Pending
-	if u1 < 20 || s1 == 0 {
-		t.Fatalf("interrupted run counts = %s", report.Render())
+	for range n {
+		release <- struct{}{}
 	}
-
-	// The checkpoint must survive a JSON round-trip.
-	cp := c.Checkpoint()
-	if cp == nil || cp.Complete {
-		t.Fatalf("checkpoint = %+v, want incomplete state", cp)
-	}
-	blob, err := cp.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume on a fresh campaign over the same fleet.
-	c2, err := New(2, Policy{Parallelism: 4, Shards: 8, Stages: []float64{0.1, 1}}, updaters(devs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Restore(back); err != nil {
-		t.Fatal(err)
-	}
-	report2, err := c2.RunContext(context.Background())
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	checkCounts(t, report2, n, 0, 0, 0)
-	// Exactly-once: no device is attempted twice across the two runs.
-	for _, d := range devs {
-		if got := d.attempts.Load(); got != 1 {
-			t.Fatalf("device %#x attempted %d times across interrupt+resume, want 1", d.id, got)
+	go func() {
+		for range started {
 		}
-		if d.Version() != 2 {
-			t.Fatalf("device %#x ended on v%d", d.id, d.Version())
-		}
-	}
-	cp2 := c2.Checkpoint()
-	if cp2 == nil || !cp2.Complete {
-		t.Fatalf("resumed checkpoint = %+v, want complete", cp2)
-	}
-}
-
-func TestCheckpointResumeAfterBreakerTrip(t *testing.T) {
-	const n = 100
-	devs := makeFleet(n, 1, 2)
-	for _, d := range devs {
-		d.failures.Store(1) // everyone fails once; with no retries, fails terminally
-	}
-	pol := Policy{Parallelism: 2, Shards: 4, BreakerFailureRate: 0.5, BreakerMinSample: 10}
-	c, err := New(2, pol, updaters(devs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); !errors.Is(err, ErrBreakerTripped) {
-		t.Fatalf("error = %v, want ErrBreakerTripped", err)
-	}
-	cp := c.Checkpoint()
-
-	// The transient is gone (devices succeed now); the operator resumes.
-	for _, d := range devs {
-		d.failures.Store(0)
-	}
-	c2, err := New(2, pol, updaters(devs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	report, err := c2.Run()
-	if err != nil {
-		t.Fatalf("resumed run tripped again on pre-resume failures: %v", err)
-	}
-	u, f, s, p := report.Updated, report.Failed, report.Skipped, report.Pending
-	if u+f != n || s != 0 || p != 0 {
-		t.Fatalf("resumed counts = %d/%d/%d/%d, want updated+failed == %d", u, f, s, p, n)
-	}
-	if f != cp.Failed {
-		t.Fatalf("failed = %d, want the checkpoint's %d (terminal failures are not re-run)", f, cp.Failed)
-	}
-}
-
-func TestRestoreValidation(t *testing.T) {
-	devs := makeFleet(10, 1, 2)
-	pol := Policy{Shards: 4}
-	c, _ := New(2, pol, updaters(devs))
-	good := &Checkpoint{Target: 2, Devices: 10, Shards: 4, Bounds: []int{10}, Cursors: []int{1, 0, 0, 0}, Stage: 0}
-	if err := c.Restore(good); err != nil {
-		t.Fatalf("valid checkpoint rejected: %v", err)
-	}
-	bad := []*Checkpoint{
-		nil,
-		{Target: 3, Devices: 10, Shards: 4, Bounds: []int{10}},
-		{Target: 2, Devices: 11, Shards: 4, Bounds: []int{10}},
-		{Target: 2, Devices: 10, Shards: 2, Bounds: []int{10}},
-		{Target: 2, Devices: 10, Shards: 4, Bounds: []int{5, 10}},
-		{Target: 2, Devices: 10, Shards: 4, Bounds: []int{10}, Stage: 5},
-		{Target: 2, Devices: 10, Shards: 4, Bounds: []int{10}, Cursors: []int{0, 0}},
-	}
-	for i, cp := range bad {
-		if err := c.Restore(cp); err == nil {
-			t.Errorf("bad checkpoint %d accepted", i)
-		}
-	}
-	// Out-of-range cursors are rejected when the run starts.
-	c2, _ := New(2, pol, updaters(devs))
-	if err := c2.Restore(&Checkpoint{Target: 2, Devices: 10, Shards: 4, Bounds: []int{10},
-		Cursors: []int{99, 0, 0, 0}, Stage: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Run(); err == nil {
-		t.Error("run with out-of-range cursors succeeded")
-	}
-}
-
-func TestResumeCompleteCheckpointIsNoOp(t *testing.T) {
-	devs := makeFleet(5, 1, 2)
-	c, _ := New(2, Policy{Shards: 2}, updaters(devs))
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	cp := c.Checkpoint()
-	if !cp.Complete {
-		t.Fatalf("checkpoint after full run not complete: %+v", cp)
-	}
-	c2, _ := New(2, Policy{Shards: 2}, updaters(devs))
-	if err := c2.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	report, err := c2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCounts(t, report, 5, 0, 0, 0)
-	for _, d := range devs {
-		if d.attempts.Load() != 1 {
-			t.Fatal("complete checkpoint re-ran devices")
-		}
-	}
+	}()
+	<-done
+	close(started)
 }
 
 // --- satellite: cancellation mid-retry-backoff ---
@@ -446,7 +411,7 @@ func TestReportSamplesAreBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, report, 0, n, 0, 0)
+	checkCounts(t, report, 0, n, 0)
 	if len(report.Results) != 10 || report.ResultsTruncated != n-10 {
 		t.Fatalf("results = %d (+%d truncated), want 10 (+%d)", len(report.Results), report.ResultsTruncated, n-10)
 	}
@@ -467,52 +432,17 @@ func TestReportSamplesAreBounded(t *testing.T) {
 	}
 }
 
-func TestOnResultStreamsEveryDevice(t *testing.T) {
-	const n = 50
-	devs := makeFleet(n, 1, 2)
-	var streamed atomic.Int64
-	c, err := New(2, Policy{
-		Parallelism: 4,
-		MaxResults:  -1, // sink replaces the in-memory slice
-		OnResult:    func(r Result) { streamed.Add(1) },
-	}, updaters(devs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if streamed.Load() != n {
-		t.Fatalf("sink saw %d results, want %d", streamed.Load(), n)
-	}
-}
-
 // --- scheduler: goroutine count bounded by the worker pool ---
 
 func TestGoroutineCountBoundedByParallelism(t *testing.T) {
 	const n = 5000
 	const parallelism = 8
-	const shards = 16
-	devs := makeFleet(n, 1, 2)
 	base := runtime.NumGoroutine()
-	var maxG atomic.Int64
-	var seen atomic.Int64
+	peak := &goroutinePeak{}
 	c, err := New(2, Policy{
 		Parallelism: parallelism,
-		Shards:      shards,
 		MaxResults:  -1,
-		OnResult: func(Result) {
-			if seen.Add(1)%32 == 0 {
-				g := int64(runtime.NumGoroutine())
-				for {
-					cur := maxG.Load()
-					if g <= cur || maxG.CompareAndSwap(cur, g) {
-						break
-					}
-				}
-			}
-		},
-	}, updaters(devs))
+	}, simFleet(n, peak))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,13 +450,13 @@ func TestGoroutineCountBoundedByParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, report, n, 0, 0, 0)
+	checkCounts(t, report, n, 0, 0)
 	// The old scheduler spawned one goroutine per device (n before the
 	// first semaphore acquire). The pool must stay at Parallelism plus
 	// scheduling overhead, independent of fleet size.
-	limit := int64(base + parallelism + shards + 10)
-	if got := maxG.Load(); got > limit {
-		t.Fatalf("goroutines peaked at %d, want <= %d (base %d + parallelism %d + O(shards))",
+	limit := int64(base + parallelism + 10)
+	if got := peak.max.Load(); got == 0 || got > limit {
+		t.Fatalf("goroutines peaked at %d, want in (0, %d] (base %d + parallelism %d)",
 			got, limit, base, parallelism)
 	}
 }

@@ -13,17 +13,13 @@
 // The engine is built to scale to million-device fleets:
 //
 //   - Scheduling is a fixed worker pool (Policy.Parallelism goroutines)
-//     pulling device indices from sharded queues, not a goroutine per
-//     device. Each shard is a sequential lane — at most one of its
-//     devices is in flight at a time — so a shard cursor is always an
-//     exact completed prefix, which is what makes campaign state
-//     checkpointable.
+//     claiming device indices from one atomic counter per stage, not a
+//     goroutine per device. A worker re-checks the halt conditions after
+//     each claim, so within one run every device is either started once
+//     or recorded as skipped, never both.
 //   - Reporting is streaming: per-status counters, per-stage tallies, a
 //     bounded per-device sample and a bounded error sample are updated
 //     as devices complete. Report memory is O(1) in fleet size.
-//   - Campaign state (stage index, per-shard cursors, outcome counters)
-//     serializes to JSON via Checkpoint/Restore, so an interrupted
-//     campaign resumes where it stopped without re-updating devices.
 package fleet
 
 import (
@@ -57,10 +53,8 @@ type Status int
 
 // Campaign outcomes.
 const (
-	// StatusPending: not yet attempted.
-	StatusPending Status = iota + 1
 	// StatusUpdated: running the target version.
-	StatusUpdated
+	StatusUpdated Status = iota + 1
 	// StatusFailed: all attempts exhausted.
 	StatusFailed
 	// StatusSkipped: campaign aborted before this device was attempted.
@@ -70,8 +64,6 @@ const (
 // String names the status.
 func (s Status) String() string {
 	switch s {
-	case StatusPending:
-		return "pending"
 	case StatusUpdated:
 		return "updated"
 	case StatusFailed:
@@ -102,85 +94,68 @@ const (
 	DefaultBreakerMinSample = 20
 )
 
-// Policy tunes a campaign. The struct round-trips through JSON (the
-// wire form of the control plane's POST /api/v1/campaigns body):
-// durations are nanosecond integers, and the two function fields —
-// Rand and OnResult — are process-local wiring that is deliberately
-// excluded from the encoding.
+// Policy tunes a campaign.
 type Policy struct {
 	// CanaryFraction is the share of the fleet updated first
 	// (rounded up, at least one device). Zero disables canarying.
 	// Ignored when Stages is set.
-	CanaryFraction float64 `json:"canary_fraction,omitempty"`
+	CanaryFraction float64
 	// MaxCanaryFailureRate gates stage promotion: when a finished
 	// stage's failure rate exceeds it, the campaign aborts before the
 	// next stage starts (e.g. 0 = abort on any failure).
-	MaxCanaryFailureRate float64 `json:"max_canary_failure_rate,omitempty"`
+	MaxCanaryFailureRate float64
 	// Stages lists cumulative fleet fractions for a staged rollout,
 	// e.g. {0.01, 0.1, 1} updates 1% of the fleet, then up to 10%, then
 	// everyone, with the MaxCanaryFailureRate gate applied between
 	// stages. Fractions must be ascending in (0, 1]; a final 1 is
 	// implied. When empty, CanaryFraction derives a two-stage rollout
 	// (or a single full-fleet wave when that too is zero).
-	Stages []float64 `json:"stages,omitempty"`
+	Stages []float64
 	// BreakerFailureRate, when > 0, arms a mid-wave circuit breaker:
 	// once at least BreakerMinSample devices of the current stage have
 	// completed and the stage's failure rate exceeds this threshold,
 	// the campaign halts immediately — without waiting for the stage
 	// boundary gate. Remaining devices are skipped and the run's error
 	// wraps ErrBreakerTripped.
-	BreakerFailureRate float64 `json:"breaker_failure_rate,omitempty"`
+	BreakerFailureRate float64
 	// BreakerMinSample is the completed-device sample required before
 	// the breaker may trip; 0 means DefaultBreakerMinSample.
-	BreakerMinSample int `json:"breaker_min_sample,omitempty"`
+	BreakerMinSample int
 	// MaxRetries is the number of extra attempts per device after the
 	// first failure.
-	MaxRetries int `json:"max_retries,omitempty"`
+	MaxRetries int
 	// Parallelism bounds concurrent device updates; 0 means
 	// DefaultParallelism. This is the exact worker-goroutine count: the
 	// engine never holds more than Parallelism device updates in
 	// flight, regardless of fleet size.
-	Parallelism int `json:"parallelism,omitempty"`
-	// Shards is the number of scheduling lanes devices are striped
-	// across; 0 derives max(8, 2×Parallelism). More shards than
-	// workers keeps the pool busy while long retry backoffs pin
-	// individual lanes. The shard count is part of the checkpoint
-	// format: a resumed campaign must use the same value.
-	Shards int `json:"shards,omitempty"`
+	Parallelism int
 	// RetryBackoff is the base wait before retry n, growing as
 	// RetryBackoff << (n-1) up to MaxRetryBackoff. Zero retries
 	// immediately. The wait is interrupted by context cancellation.
-	// Encoded in JSON as nanoseconds.
-	RetryBackoff time.Duration `json:"retry_backoff_ns,omitempty"`
+	RetryBackoff time.Duration
 	// MaxRetryBackoff caps the exponential growth; 0 means
 	// DefaultMaxRetryBackoff. The shift is clamped so large attempt
 	// counts saturate at the cap instead of overflowing to a negative
-	// (i.e. zero) wait. Encoded in JSON as nanoseconds.
-	MaxRetryBackoff time.Duration `json:"max_retry_backoff_ns,omitempty"`
+	// (i.e. zero) wait.
+	MaxRetryBackoff time.Duration
 	// RetryJitter widens each backoff by a uniform factor in
 	// [1, 1+RetryJitter), decorrelating retries across the fleet so a
 	// wave of failures does not hammer the server in lockstep.
-	RetryJitter float64 `json:"retry_jitter,omitempty"`
+	RetryJitter float64
 	// Rand supplies the jitter randomness in [0, 1); nil selects the
 	// global math/rand.Float64. Inject a deterministic source to make
 	// backoff schedules reproducible in tests. The source does not need
 	// to be safe for concurrent use: the campaign serializes calls to it
-	// even when Parallelism > 1. Not serialized.
-	Rand func() float64 `json:"-"`
+	// even when Parallelism > 1.
+	Rand func() float64
 	// MaxResults bounds the per-device Result records retained in the
 	// report: 0 means DefaultMaxResults, negative retains none. Outcome
 	// counters are always exact regardless.
-	MaxResults int `json:"max_results,omitempty"`
+	MaxResults int
 	// MaxErrors bounds the report's failed-device error sample: 0 means
 	// DefaultMaxErrors, negative retains none. Errors beyond the bound
 	// are counted in Report.ErrorsTruncated.
-	MaxErrors int `json:"max_errors,omitempty"`
-	// OnResult, when set, streams every device's terminal Result
-	// (including skips) as it is recorded. Calls are serialized in
-	// completion order. The callback runs on campaign worker
-	// goroutines and must not block or call back into the campaign.
-	// Not serialized.
-	OnResult func(Result) `json:"-"`
+	MaxErrors int
 }
 
 func (p Policy) parallelism() int {
@@ -243,16 +218,6 @@ var ErrCampaignAborted = errors.New("fleet: campaign aborted by failure gate")
 // errors.Is(err, ErrCampaignAborted) also holds.
 var ErrBreakerTripped = fmt.Errorf("%w: circuit breaker tripped", ErrCampaignAborted)
 
-// ErrCampaignPaused is the error RunContext returns after Pause halts
-// the run. Unlike an abort, a pause leaves unattempted devices pending
-// (not skipped): Checkpoint() captures an exact resume point and a
-// later Restore + RunContext re-dispatches exactly the devices that
-// never reached a terminal state.
-var ErrCampaignPaused = errors.New("fleet: campaign paused")
-
-// ErrNotRunning is returned by Pause when no RunContext is in flight.
-var ErrNotRunning = errors.New("fleet: campaign is not running")
-
 // ErrAlreadyRunning is returned by RunContext when another run of the
 // same campaign is still in flight.
 var ErrAlreadyRunning = errors.New("fleet: campaign run already in flight")
@@ -275,16 +240,13 @@ type CampaignError struct {
 	Err      error
 }
 
-// StageSummary tallies one rollout stage. For a resumed campaign the
-// summaries cover only the work performed by that run; cumulative
-// outcome counts live in the Report totals.
+// StageSummary tallies one rollout stage.
 type StageSummary struct {
-	// Devices is the stage's size (device count), including devices
-	// completed before a resume.
-	Devices int `json:"devices"`
-	Updated int `json:"updated"`
-	Failed  int `json:"failed"`
-	Skipped int `json:"skipped"`
+	// Devices is the stage's size (device count).
+	Devices int
+	Updated int
+	Failed  int
+	Skipped int
 }
 
 // Report summarises a campaign. Aggregation is streaming: outcome
@@ -295,20 +257,15 @@ type Report struct {
 	Target  uint16
 	Devices int
 	// Every device lands in exactly one outcome bucket, so
-	// Updated+Failed+Skipped+Pending == Devices; Pending is only
-	// non-zero when a resumed checkpoint was inconsistent.
+	// Updated+Failed+Skipped == Devices.
 	Updated int
 	Failed  int
 	Skipped int
-	Pending int
 	Aborted bool
-	// Paused marks a run halted by Pause: unattempted devices stay
-	// Pending and the campaign's Checkpoint resumes them.
-	Paused bool
 	// AbortReason says what halted an aborted campaign (stage gate,
 	// circuit breaker, cancellation).
 	AbortReason string
-	// Stages tallies each rollout stage this run touched.
+	// Stages tallies each rollout stage, in order.
 	Stages []StageSummary
 	// Results is a bounded sample of per-device outcomes in completion
 	// order; ResultsTruncated counts devices beyond the bound.
@@ -336,29 +293,8 @@ type Campaign struct {
 	// bounds are the cumulative stage boundaries in device counts,
 	// ending at len(devices).
 	bounds []int
-	shards int
-
-	mu     sync.Mutex
-	resume *Checkpoint // state to resume from, set by Restore
-	last   *Checkpoint // state after the most recent run
-	cur    *liveRun    // in-flight run, nil between runs
-}
-
-// liveRun is the concurrency-safe view of an in-flight RunContext —
-// what Progress reads and Pause cancels. Everything here is either
-// immutable after creation or atomic, so observers never contend with
-// the worker pool.
-type liveRun struct {
-	agg     *aggregator
-	started time.Time
-	// baseDone is the completed-device count preloaded from a resume
-	// checkpoint; throughput and ETA are computed on this run's work
-	// only.
-	baseDone int64
-	stage    atomic.Int64
-	st       atomic.Pointer[stageState]
-	cancel   context.CancelFunc
-	paused   atomic.Bool
+	// running refuses a second RunContext while one is in flight.
+	running atomic.Bool
 }
 
 // SetTelemetry attaches a metrics registry. Waves, per-device outcomes
@@ -436,18 +372,12 @@ func New(target uint16, policy Policy, devices []Updater) (*Campaign, error) {
 	if policy.BreakerFailureRate < 0 || policy.BreakerFailureRate > 1 {
 		return nil, fmt.Errorf("fleet: breaker failure rate %f out of [0,1]", policy.BreakerFailureRate)
 	}
-	shards := policy.Shards
-	if shards <= 0 {
-		shards = max(8, 2*policy.parallelism())
-	}
-	shards = min(shards, len(devices))
 	return &Campaign{
 		target:  target,
 		policy:  policy,
 		devices: devices,
 		rand01:  newRand01(policy),
 		bounds:  stageBounds(len(devices), policy),
-		shards:  shards,
 	}, nil
 }
 
@@ -462,31 +392,16 @@ func (c *Campaign) Run() (*Report, error) {
 // RunContext executes the campaign under ctx. Cancellation is honored
 // mid-wave: in-flight device updates finish their current attempt, not
 // yet started devices are marked StatusSkipped, and the returned error
-// wraps ctx.Err(). The report still covers every device, and
-// Checkpoint() afterwards captures where to resume.
-//
-// Pause (from another goroutine) halts the run the same way but leaves
-// unattempted devices pending instead of skipped; the error is then
-// ErrCampaignPaused. At most one RunContext may be in flight per
-// campaign; a second concurrent call fails with ErrAlreadyRunning.
+// wraps ctx.Err(). The report still covers every device. At most one
+// RunContext may be in flight per campaign; a second concurrent call
+// fails with ErrAlreadyRunning.
 func (c *Campaign) RunContext(ctx context.Context) (*Report, error) {
-	agg := newAggregator(c)
-	rctx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	lr := &liveRun{agg: agg, started: time.Now(), cancel: cancelRun}
-	c.mu.Lock()
-	if c.cur != nil {
-		c.mu.Unlock()
+	if !c.running.CompareAndSwap(false, true) {
 		return nil, ErrAlreadyRunning
 	}
-	c.cur = lr
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.cur = nil
-		c.mu.Unlock()
-	}()
+	defer c.running.Store(false)
 
+	agg := newAggregator(c)
 	report := &Report{Target: c.target, Devices: len(c.devices)}
 	defer func() {
 		agg.fill(report)
@@ -495,48 +410,19 @@ func (c *Campaign) RunContext(ctx context.Context) (*Report, error) {
 		}
 	}()
 
-	startStage := 0
-	var preCursors []int
-	preDone, preFailed := 0, 0
-	if cp := c.resume; cp != nil {
-		startStage = cp.Stage
-		preCursors = append([]int(nil), cp.Cursors...)
-		preDone, preFailed = cp.StageDone, cp.StageFailed
-		agg.updated.Store(int64(cp.Updated))
-		agg.failed.Store(int64(cp.Failed))
-		lr.baseDone = int64(cp.Updated + cp.Failed)
-	}
-
-	for si := startStage; si < len(c.bounds); si++ {
-		lo := 0
-		if si > 0 {
-			lo = c.bounds[si-1]
-		}
-		hi := c.bounds[si]
-		st := newStageState(si, lo, hi, c.shards)
-		if si == startStage && preCursors != nil {
-			if err := st.preload(preCursors, preDone, preFailed); err != nil {
-				return report, err
-			}
-		}
-		lr.stage.Store(int64(si))
-		lr.st.Store(st)
+	lo := 0
+	for si, hi := range c.bounds {
+		st := &stageState{index: si, hi: hi}
+		st.next.Store(int64(lo))
+		lo = hi
 		c.met("upkit_campaign_waves_total", "Campaign waves started.",
 			telemetry.L("stage", strconv.Itoa(si))).Inc()
-		c.runStage(rctx, st, agg)
+		c.runStage(ctx, st, agg)
 
 		stageDone := int(st.done.Load())
 		stageFailed := int(st.failed.Load())
-		if lr.paused.Load() {
-			// A pause is not an abort: unattempted devices stay pending so
-			// the checkpoint re-dispatches exactly them and nothing else.
-			c.saveState(si, st, agg, false)
-			report.Paused = true
-			return report, ErrCampaignPaused
-		}
 		if err := ctx.Err(); err != nil {
-			c.skipRemaining(st, si, agg)
-			c.saveState(si, st, agg, false)
+			c.skipRemaining(st, agg)
 			report.Aborted = true
 			report.AbortReason = fmt.Sprintf("canceled in stage %d: %v", si, err)
 			return report, fmt.Errorf("fleet: campaign canceled: %w", err)
@@ -544,8 +430,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Report, error) {
 		if st.tripped.Load() {
 			c.met("upkit_campaign_breaker_trips_total", "Circuit-breaker trips.",
 				telemetry.L("stage", strconv.Itoa(si))).Inc()
-			c.skipRemaining(st, si, agg)
-			c.saveState(si, st, agg, false)
+			c.skipRemaining(st, agg)
 			report.Aborted = true
 			report.AbortReason = fmt.Sprintf("circuit breaker: %d of %d devices failed in stage %d",
 				stageFailed, stageDone, si)
@@ -555,8 +440,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Report, error) {
 		if si < len(c.bounds)-1 && stageDone > 0 {
 			rate := float64(stageFailed) / float64(stageDone)
 			if rate > c.policy.MaxCanaryFailureRate {
-				c.skipRemaining(nil, si, agg)
-				c.saveState(si+1, nil, agg, false)
+				c.skipRemaining(st, agg)
 				report.Aborted = true
 				report.AbortReason = fmt.Sprintf("stage %d gate: %d of %d canaries failed",
 					si, stageFailed, stageDone)
@@ -565,115 +449,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Report, error) {
 			}
 		}
 	}
-	c.saveState(len(c.bounds), nil, agg, true)
 	return report, nil
-}
-
-// Pause asks the in-flight RunContext to halt at the next safe point:
-// workers stop claiming devices, in-flight attempts finish (retry
-// backoffs are cut short), and RunContext returns ErrCampaignPaused
-// with unattempted devices left pending. Safe to call from any
-// goroutine; returns ErrNotRunning when no run is in flight. Note a
-// device paused mid-retry-backoff lands StatusFailed with its last
-// real error — the same terminal-attempt discipline cancellation uses.
-func (c *Campaign) Pause() error {
-	c.mu.Lock()
-	lr := c.cur
-	c.mu.Unlock()
-	if lr == nil {
-		return ErrNotRunning
-	}
-	lr.paused.Store(true)
-	lr.cancel()
-	return nil
-}
-
-// StageProgress is one stage's live tally within a Progress snapshot.
-type StageProgress struct {
-	// Devices is the stage's total size; Done counts terminal outcomes
-	// the current run recorded in it (a resumed stage's earlier work is
-	// in the campaign totals, not re-attributed to the stage).
-	Devices int `json:"devices"`
-	Done    int `json:"done"`
-	Updated int `json:"updated"`
-	Failed  int `json:"failed"`
-	Skipped int `json:"skipped"`
-}
-
-// Progress is a concurrency-safe snapshot of a campaign — live while a
-// run is in flight, final afterwards. All counters are exact; the
-// throughput and ETA figures cover only the current run's work (a
-// resumed campaign starts a fresh clock).
-type Progress struct {
-	Target  uint16 `json:"target"`
-	Devices int    `json:"devices"`
-	Updated int    `json:"updated"`
-	Failed  int    `json:"failed"`
-	Skipped int    `json:"skipped"`
-	Pending int    `json:"pending"`
-	// Running reports whether a RunContext is in flight; Paused whether
-	// the in-flight run has been asked to pause (or, between runs,
-	// nothing — a manager tracks lifecycle state above this).
-	Running bool `json:"running"`
-	Paused  bool `json:"paused"`
-	// Stage is the index of the stage in progress (or the next to run);
-	// Stages tallies every stage touched so far.
-	Stage  int             `json:"stage"`
-	Stages []StageProgress `json:"stages,omitempty"`
-	// BreakerTripped reports the current stage's circuit breaker.
-	BreakerTripped bool `json:"breaker_tripped,omitempty"`
-	// ElapsedSeconds is the current run's age; zero between runs.
-	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
-	// DevicesPerSecond is this run's terminal-outcome rate, and
-	// ETASeconds extrapolates it over the pending devices; both zero
-	// when idle or no device has completed yet.
-	DevicesPerSecond float64 `json:"devices_per_second,omitempty"`
-	ETASeconds       float64 `json:"eta_seconds,omitempty"`
-}
-
-// Progress snapshots the campaign without disturbing it: atomic
-// counter reads plus one short lock on the report aggregator. Before
-// any run it reports the armed resume checkpoint (if any); after a run
-// it reports the final state.
-func (c *Campaign) Progress() Progress {
-	p := Progress{Target: c.target, Devices: len(c.devices)}
-	c.mu.Lock()
-	lr := c.cur
-	last := c.last
-	resume := c.resume
-	c.mu.Unlock()
-
-	switch {
-	case lr != nil:
-		p.Running = true
-		p.Paused = lr.paused.Load()
-		p.Updated = int(lr.agg.updated.Load())
-		p.Failed = int(lr.agg.failed.Load())
-		p.Skipped = int(lr.agg.skipped.Load())
-		p.Stage = int(lr.stage.Load())
-		if st := lr.st.Load(); st != nil {
-			p.BreakerTripped = st.tripped.Load()
-		}
-		p.Stages = lr.agg.stageProgress()
-		elapsed := time.Since(lr.started).Seconds()
-		p.ElapsedSeconds = elapsed
-		if runDone := int64(p.Updated+p.Failed) - lr.baseDone; runDone > 0 && elapsed > 0 {
-			p.DevicesPerSecond = float64(runDone) / elapsed
-		}
-	case last != nil:
-		p.Updated = last.Updated
-		p.Failed = last.Failed
-		p.Stage = last.Stage
-	case resume != nil:
-		p.Updated = resume.Updated
-		p.Failed = resume.Failed
-		p.Stage = resume.Stage
-	}
-	p.Pending = max(0, p.Devices-p.Updated-p.Failed-p.Skipped)
-	if p.DevicesPerSecond > 0 {
-		p.ETASeconds = float64(p.Pending) / p.DevicesPerSecond
-	}
-	return p
 }
 
 // met resolves a counter on the campaign's registry (nil-safe).
@@ -681,72 +457,23 @@ func (c *Campaign) met(name, help string, labels ...telemetry.Label) *telemetry.
 	return c.tel.Counter(name, help, labels...)
 }
 
-// shardLane is one sequential scheduling lane: positions
-// lo+s, lo+s+S, lo+s+2S, … of the current stage. busy enforces at most
-// one in-flight device per lane, which keeps next an exact completed
-// prefix — the property the checkpoint format relies on.
-type shardLane struct {
-	busy atomic.Bool
-	next int // completed positions (only touched while busy is held)
-	size int
-}
-
-// stageState is the scheduling state of one rollout stage.
+// stageState is the scheduling state of one rollout stage: devices
+// [lo, hi) of the fleet, claimed in index order through next.
 type stageState struct {
-	index     int
-	lo, hi    int
-	lanes     []shardLane
-	remaining atomic.Int64
-	// done/failed include work preloaded from a checkpoint; runDone/
-	// runFailed count only this run, which is what the breaker
-	// evaluates (a resumed campaign gets a fresh breaker window).
-	done, failed       atomic.Int64
-	runDone, runFailed atomic.Int64
-	tripped            atomic.Bool
-	rr                 atomic.Uint64
-	cancel             context.CancelFunc
-}
-
-func newStageState(index, lo, hi, shards int) *stageState {
-	st := &stageState{index: index, lo: lo, hi: hi, lanes: make([]shardLane, shards)}
-	size := hi - lo
-	for s := range st.lanes {
-		if s < size {
-			st.lanes[s].size = (size - s + shards - 1) / shards
-		}
-	}
-	st.remaining.Store(int64(size))
-	return st
-}
-
-// preload seeds the stage from checkpoint cursors: cursor positions are
-// already complete and are not re-scheduled.
-func (st *stageState) preload(cursors []int, done, failed int) error {
-	if len(cursors) != len(st.lanes) {
-		return fmt.Errorf("fleet: checkpoint has %d shard cursors, campaign has %d shards",
-			len(cursors), len(st.lanes))
-	}
-	completed := 0
-	for s := range st.lanes {
-		if cursors[s] < 0 || cursors[s] > st.lanes[s].size {
-			return fmt.Errorf("fleet: checkpoint cursor %d out of range for shard %d (size %d)",
-				cursors[s], s, st.lanes[s].size)
-		}
-		st.lanes[s].next = cursors[s]
-		completed += cursors[s]
-	}
-	st.remaining.Add(int64(-completed))
-	st.done.Store(int64(done))
-	st.failed.Store(int64(failed))
-	return nil
+	index int
+	hi    int
+	// next is the next unclaimed device index. Workers advance it past
+	// hi once the stage drains, so a claim at or beyond hi means there
+	// is nothing left to claim.
+	next         atomic.Int64
+	done, failed atomic.Int64
+	tripped      atomic.Bool
+	cancel       context.CancelFunc
 }
 
 // runStage drives the stage with a fixed worker pool. Goroutine count
 // during a campaign is exactly Policy.Parallelism plus the caller.
 func (c *Campaign) runStage(parent context.Context, st *stageState, agg *aggregator) {
-	if st.remaining.Load() == 0 {
-		return
-	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	st.cancel = cancel
@@ -762,69 +489,45 @@ func (c *Campaign) runStage(parent context.Context, st *stageState, agg *aggrega
 	wg.Wait()
 }
 
-// stageWorker claims devices from shard lanes until the stage drains,
-// the context is canceled, or the breaker trips. A lane is held for the
-// whole device update so its cursor stays a completed prefix.
+// stageWorker claims devices until the stage drains, the context is
+// canceled, or the breaker trips. Every claimed device is either
+// started or recorded as skipped, so once the pool has stopped the
+// devices from next to the stage's end are exactly the unattempted
+// ones.
 func (c *Campaign) stageWorker(ctx context.Context, st *stageState, agg *aggregator) {
-	n := uint64(len(st.lanes))
 	for {
-		if ctx.Err() != nil || st.tripped.Load() || st.remaining.Load() <= 0 {
+		idx := int(st.next.Add(1) - 1)
+		if idx >= st.hi {
 			return
 		}
-		claimed := false
-		start := st.rr.Add(1)
-		for i := uint64(0); i < n; i++ {
-			s := int((start + i) % n)
-			sh := &st.lanes[s]
-			if !sh.busy.CompareAndSwap(false, true) {
-				continue
-			}
-			if sh.next >= sh.size {
-				sh.busy.Store(false)
-				continue
-			}
-			// Re-check halt conditions after the claim: a device not yet
-			// started when the campaign halts must stay unclaimed so the
-			// checkpoint re-schedules it.
-			if ctx.Err() != nil || st.tripped.Load() {
-				sh.busy.Store(false)
-				return
-			}
-			idx := st.lo + s + sh.next*len(st.lanes)
-			res := c.updateOne(ctx, c.devices[idx])
-			agg.record(res, st.index)
-			sh.next++
-			st.remaining.Add(-1)
-			c.noteStageResult(st, res.Status == StatusFailed)
-			sh.busy.Store(false)
-			claimed = true
-			break
+		d := c.devices[idx]
+		// Re-check halt conditions after the claim: a device the halt
+		// reaches before it starts is skipped, not updated.
+		if ctx.Err() != nil || st.tripped.Load() {
+			agg.record(skipped(d), st.index)
+			return
 		}
-		if !claimed {
-			// Every lane with work is held by another worker; wait for an
-			// in-flight update to release one.
-			time.Sleep(100 * time.Microsecond)
-		}
+		res := c.updateOne(ctx, d)
+		agg.record(res, st.index)
+		c.noteStageResult(st, res.Status == StatusFailed)
 	}
 }
 
 // noteStageResult updates stage tallies and evaluates the circuit
-// breaker on this run's completions.
+// breaker on the stage's completions.
 func (c *Campaign) noteStageResult(st *stageState, failed bool) {
-	st.done.Add(1)
-	runDone := st.runDone.Add(1)
-	var runFailed int64
+	done := st.done.Add(1)
+	var nfailed int64
 	if failed {
-		st.failed.Add(1)
-		runFailed = st.runFailed.Add(1)
+		nfailed = st.failed.Add(1)
 	} else {
-		runFailed = st.runFailed.Load()
+		nfailed = st.failed.Load()
 	}
-	if c.policy.BreakerFailureRate <= 0 || int(runDone) < c.policy.breakerMinSample() {
+	if c.policy.BreakerFailureRate <= 0 || int(done) < c.policy.breakerMinSample() {
 		return
 	}
-	if float64(runFailed)/float64(runDone) > c.policy.BreakerFailureRate {
-		if st.tripped.CompareAndSwap(false, true) && st.cancel != nil {
+	if float64(nfailed)/float64(done) > c.policy.BreakerFailureRate {
+		if st.tripped.CompareAndSwap(false, true) {
 			// Cut in-flight retry backoffs short; the devices finish their
 			// current attempt and land StatusFailed with their real error.
 			st.cancel()
@@ -832,24 +535,22 @@ func (c *Campaign) noteStageResult(st *stageState, failed bool) {
 	}
 }
 
-// skipRemaining records StatusSkipped for every unattempted device: the
-// tail of the current stage (when st is non-nil) and all later stages.
-func (c *Campaign) skipRemaining(st *stageState, si int, agg *aggregator) {
-	skip := func(idx, stage int) {
-		d := c.devices[idx]
-		agg.record(Result{DeviceID: d.ID(), Status: StatusSkipped, Version: d.Version()}, stage)
+// skipped is the terminal result of a device the campaign never
+// attempted.
+func skipped(d Updater) Result {
+	return Result{DeviceID: d.ID(), Status: StatusSkipped, Version: d.Version()}
+}
+
+// skipRemaining records StatusSkipped for every unclaimed device: the
+// tail of st from its claim counter, then all later stages. It runs
+// after st's worker pool has stopped.
+func (c *Campaign) skipRemaining(st *stageState, agg *aggregator) {
+	for idx := int(min(st.next.Load(), int64(st.hi))); idx < st.hi; idx++ {
+		agg.record(skipped(c.devices[idx]), st.index)
 	}
-	if st != nil {
-		for s := range st.lanes {
-			sh := &st.lanes[s]
-			for k := sh.next; k < sh.size; k++ {
-				skip(st.lo+s+k*len(st.lanes), si)
-			}
-		}
-	}
-	for sj := si + 1; sj < len(c.bounds); sj++ {
+	for sj := st.index + 1; sj < len(c.bounds); sj++ {
 		for idx := c.bounds[sj-1]; idx < c.bounds[sj]; idx++ {
-			skip(idx, sj)
+			agg.record(skipped(c.devices[idx]), sj)
 		}
 	}
 }
@@ -938,16 +639,13 @@ func (c *Campaign) updateOne(ctx context.Context, d Updater) Result {
 	return res
 }
 
-// aggregator is the streaming report sink: exact atomic counters plus
+// aggregator is the streaming report sink: per-stage tallies plus
 // bounded result/error samples under one mutex.
 type aggregator struct {
-	c       *Campaign
-	updated atomic.Int64
-	failed  atomic.Int64
-	skipped atomic.Int64
+	c *Campaign
 
 	mu               sync.Mutex
-	stages           map[int]*StageSummary
+	stages           []StageSummary // one per stage bound
 	results          []Result
 	resultsTruncated int
 	errs             []CampaignError
@@ -957,35 +655,30 @@ type aggregator struct {
 }
 
 func newAggregator(c *Campaign) *aggregator {
+	stages := make([]StageSummary, len(c.bounds))
+	lo := 0
+	for si, hi := range c.bounds {
+		stages[si].Devices = hi - lo
+		lo = hi
+	}
 	return &aggregator{
 		c:          c,
-		stages:     make(map[int]*StageSummary),
+		stages:     stages,
 		maxResults: c.policy.maxResults(),
 		maxErrors:  c.policy.maxErrors(),
 	}
 }
 
-// record stores one device's terminal outcome: counters, stage tally,
-// bounded samples, telemetry, and the streaming sink.
+// record stores one device's terminal outcome: stage tally, bounded
+// samples and telemetry.
 func (a *aggregator) record(res Result, stage int) {
-	switch res.Status {
-	case StatusUpdated:
-		a.updated.Add(1)
-	case StatusFailed:
-		a.failed.Add(1)
-	case StatusSkipped:
-		a.skipped.Add(1)
-	}
 	if a.c.tel != nil {
 		a.c.met("upkit_campaign_devices_total", "Campaign device outcomes.",
 			telemetry.L("status", res.Status.String())).Inc()
 	}
 	a.mu.Lock()
-	ss := a.stages[stage]
-	if ss == nil {
-		ss = &StageSummary{}
-		a.stages[stage] = ss
-	}
+	defer a.mu.Unlock()
+	ss := &a.stages[stage]
 	switch res.Status {
 	case StatusUpdated:
 		ss.Updated++
@@ -1006,73 +699,28 @@ func (a *aggregator) record(res Result, stage int) {
 	} else {
 		a.resultsTruncated++
 	}
-	sink := a.c.policy.OnResult
-	if sink != nil {
-		sink(res)
-	}
-	a.mu.Unlock()
-}
-
-// stageProgress snapshots the per-stage tallies for Progress, sized
-// from the campaign's stage bounds.
-func (a *aggregator) stageProgress() []StageProgress {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []StageProgress
-	for si := range a.c.bounds {
-		ss, ok := a.stages[si]
-		if !ok {
-			continue
-		}
-		lo := 0
-		if si > 0 {
-			lo = a.c.bounds[si-1]
-		}
-		out = append(out, StageProgress{
-			Devices: a.c.bounds[si] - lo,
-			Done:    ss.Updated + ss.Failed + ss.Skipped,
-			Updated: ss.Updated,
-			Failed:  ss.Failed,
-			Skipped: ss.Skipped,
-		})
-	}
-	return out
 }
 
 // fill finalises the report from the aggregated state.
 func (a *aggregator) fill(r *Report) {
-	r.Updated = int(a.updated.Load())
-	r.Failed = int(a.failed.Load())
-	r.Skipped = int(a.skipped.Load())
-	if p := r.Devices - r.Updated - r.Failed - r.Skipped; p > 0 {
-		r.Pending = p
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	for _, ss := range a.stages {
+		r.Updated += ss.Updated
+		r.Failed += ss.Failed
+		r.Skipped += ss.Skipped
+	}
+	r.Stages = a.stages
 	r.Results = a.results
 	r.ResultsTruncated = a.resultsTruncated
 	r.Errors = a.errs
 	r.ErrorsTruncated = a.errsTruncated
-	r.Stages = nil
-	for si := range a.c.bounds {
-		ss, ok := a.stages[si]
-		if !ok {
-			continue
-		}
-		lo := 0
-		if si > 0 {
-			lo = a.c.bounds[si-1]
-		}
-		out := *ss
-		out.Devices = a.c.bounds[si] - lo
-		r.Stages = append(r.Stages, out)
-	}
 }
 
 // Render returns a sorted, human-readable campaign summary.
 func (r *Report) Render() string {
-	out := fmt.Sprintf("campaign to v%d: %d updated, %d failed, %d skipped, %d pending",
-		r.Target, r.Updated, r.Failed, r.Skipped, r.Pending)
+	out := fmt.Sprintf("campaign to v%d: %d updated, %d failed, %d skipped",
+		r.Target, r.Updated, r.Failed, r.Skipped)
 	if r.Aborted {
 		out += fmt.Sprintf(" (ABORTED: %s)", r.AbortReason)
 	}

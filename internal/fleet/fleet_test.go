@@ -58,17 +58,17 @@ func updaters(devs []*fakeDevice) []Updater {
 }
 
 // checkCounts asserts the report's outcome tallies and the bucket
-// invariant: every device lands in exactly one of the four states, so
+// invariant: every device lands in exactly one of the three states, so
 // the counts always sum to the fleet size.
-func checkCounts(t *testing.T, report *Report, updated, failed, skipped, pending int) {
+func checkCounts(t *testing.T, report *Report, updated, failed, skipped int) {
 	t.Helper()
-	u, f, s, p := report.Updated, report.Failed, report.Skipped, report.Pending
-	if u != updated || f != failed || s != skipped || p != pending {
-		t.Fatalf("counts = %d/%d/%d/%d, want %d/%d/%d/%d\n%s",
-			u, f, s, p, updated, failed, skipped, pending, report.Render())
+	u, f, s := report.Updated, report.Failed, report.Skipped
+	if u != updated || f != failed || s != skipped {
+		t.Fatalf("counts = %d/%d/%d, want %d/%d/%d\n%s",
+			u, f, s, updated, failed, skipped, report.Render())
 	}
-	if u+f+s+p != report.Devices {
-		t.Fatalf("counts %d+%d+%d+%d != %d devices", u, f, s, p, report.Devices)
+	if u+f+s != report.Devices {
+		t.Fatalf("counts %d+%d+%d != %d devices", u, f, s, report.Devices)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestCampaignAllSucceed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	checkCounts(t, report, 10, 0, 0, 0)
+	checkCounts(t, report, 10, 0, 0)
 	for _, d := range devs {
 		if d.Version() != 2 {
 			t.Fatalf("device %#x on v%d", d.id, d.Version())
@@ -106,7 +106,7 @@ func TestCanaryGateAbortsCampaign(t *testing.T) {
 	if !report.Aborted {
 		t.Fatal("report not marked aborted")
 	}
-	checkCounts(t, report, 0, 2, 8, 0)
+	checkCounts(t, report, 0, 2, 8)
 	// The general population must never have been touched.
 	for _, d := range devs[2:] {
 		if d.attempts.Load() != 0 {
@@ -126,7 +126,7 @@ func TestCanaryGateTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v (20%% failure is under the 25%% gate)", err)
 	}
-	checkCounts(t, report, 9, 1, 0, 0)
+	checkCounts(t, report, 9, 1, 0)
 }
 
 func TestRetriesRecoverTransientFailures(t *testing.T) {
@@ -140,7 +140,7 @@ func TestRetriesRecoverTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, report, 4, 0, 0, 0)
+	checkCounts(t, report, 4, 0, 0)
 	for _, res := range report.Results {
 		if res.DeviceID == devs[2].id && res.Attempts != 3 {
 			t.Fatalf("flaky device attempts = %d, want 3", res.Attempts)
@@ -158,7 +158,7 @@ func TestAlreadyCurrentDevicesSkipAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, report, 3, 0, 0, 0)
+	checkCounts(t, report, 3, 0, 0)
 	for _, d := range devs {
 		if d.attempts.Load() != 0 {
 			t.Fatal("already-current device was attempted")
@@ -207,7 +207,7 @@ func TestParallelWaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, report, 64, 0, 0, 0)
+	checkCounts(t, report, 64, 0, 0)
 }
 
 func TestReportRender(t *testing.T) {
@@ -221,7 +221,7 @@ func TestReportRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := report.Render()
-	for _, want := range []string{"campaign to v2", "2 updated", "0 pending", "updated"} {
+	for _, want := range []string{"campaign to v2", "2 updated", "updated"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q:\n%s", want, out)
 		}
@@ -232,7 +232,7 @@ func TestReportRender(t *testing.T) {
 }
 
 func TestStatusString(t *testing.T) {
-	for _, s := range []Status{StatusPending, StatusUpdated, StatusFailed, StatusSkipped, Status(9)} {
+	for _, s := range []Status{StatusUpdated, StatusFailed, StatusSkipped, Status(9)} {
 		if s.String() == "" {
 			t.Errorf("Status(%d).String() empty", int(s))
 		}
@@ -268,7 +268,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	if !report.Aborted {
 		t.Fatal("report not marked aborted")
 	}
-	checkCounts(t, report, 0, 0, 6, 0)
+	checkCounts(t, report, 0, 0, 6)
 	for _, d := range devs {
 		if d.attempts.Load() != 0 {
 			t.Fatalf("device %#x attempted under a canceled context", d.id)
@@ -294,7 +294,7 @@ func TestRunContextCanceledBetweenWaves(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
-	checkCounts(t, report, 1, 0, 4, 0)
+	checkCounts(t, report, 1, 0, 4)
 	for _, d := range devs[1:] {
 		if d.attempts.Load() != 0 {
 			t.Fatalf("device %#x attempted after cancellation", d.id)
@@ -342,7 +342,7 @@ func TestRetryJitterInjectableRand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, rep, 1, 0, 0, 0)
+	checkCounts(t, rep, 1, 0, 0)
 	// Three attempts means two retry waits, each drawing exactly once.
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("Policy.Rand consulted %d times, want 2", got)
@@ -374,5 +374,5 @@ func TestInjectedRandSerializedAcrossWaveGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, report, 16, 0, 0, 0)
+	checkCounts(t, report, 16, 0, 0)
 }

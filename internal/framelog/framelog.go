@@ -1,8 +1,8 @@
 // Package framelog is the host side's one storage discipline: an
 // append-only log of CRC-framed records, and the atomic file replace
 // that both its compaction and whole-file writers use. The release
-// store, the durable patch store and the campaign history each keep
-// their records in one, under their own magic.
+// store and the durable patch store each keep their records in one,
+// under their own magic.
 //
 // A record is (big endian)
 //
@@ -13,8 +13,7 @@
 // instead of corrupting replay:
 //
 //   - Append writes the record and fsyncs before returning, so an
-//     acknowledged record survives a crash. Buffer stages records in
-//     memory for callers that make them durable in batches with Sync.
+//     acknowledged record survives a crash.
 //   - Open replays the longest valid record prefix and truncates the
 //     file there, so a torn tail costs exactly the unacknowledged
 //     record and the log stays appendable.
@@ -47,8 +46,6 @@ const (
 	maxPayload = 64 << 20
 	// compactMinBytes is the smallest log Compact rewrites.
 	compactMinBytes = 1 << 20
-	// flushBytes caps the records Buffer holds in memory between Syncs.
-	flushBytes = 256 << 10
 )
 
 // ErrCorrupt reports a record that no longer parses or fails its CRC.
@@ -68,8 +65,7 @@ type Log struct {
 	path  string
 	magic uint32
 	f     *os.File
-	size  int64  // bytes written to f
-	buf   []byte // records staged by Buffer, not yet written
+	size  int64 // bytes written to f
 }
 
 // syncDir fsyncs a directory so renames and creations in it are
@@ -183,37 +179,6 @@ func (l *Log) Append(parts ...[]byte) (Frame, error) {
 	return fr, nil
 }
 
-// Buffer stages one record in memory. Staged records reach the file at
-// the next Sync, or earlier and unsynced once flushBytes are pending; a
-// failed early write keeps them staged, and Sync reports it.
-func (l *Log) Buffer(payload []byte) {
-	l.buf = appendRecord(l.buf, l.magic, payload)
-	if len(l.buf) >= flushBytes {
-		_ = l.flush()
-	}
-}
-
-// flush writes the staged records without syncing them.
-func (l *Log) flush() error {
-	if len(l.buf) == 0 {
-		return nil
-	}
-	if _, err := l.f.WriteAt(l.buf, l.size); err != nil {
-		return err
-	}
-	l.size += int64(len(l.buf))
-	l.buf = l.buf[:0]
-	return nil
-}
-
-// Sync writes every staged record and fsyncs the log.
-func (l *Log) Sync() error {
-	if err := l.flush(); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
 // ReadAt reads the record at fr back from disk and re-checks its CRC.
 // The payload is a fresh slice the caller owns.
 func (l *Log) ReadAt(fr Frame) ([]byte, error) {
@@ -229,15 +194,14 @@ func (l *Log) ReadAt(fr Frame) ([]byte, error) {
 }
 
 // Size reports the bytes in the log, dead records included.
-func (l *Log) Size() int64 { return l.size + int64(len(l.buf)) }
+func (l *Log) Size() int64 { return l.size }
 
 // Compact rewrites the log to hold exactly the records at live, in
 // order, when the compaction rule holds: the log is at least 1 MiB and
 // its dead bytes exceed its live ones. It reports whether the log was
 // replaced; if so, every live frame now points into the new file, and
 // appends go there even when the directory sync that follows the
-// rename fails (that error is still returned). Staged records must be
-// synced first.
+// rename fails (that error is still returned).
 func (l *Log) Compact(live []Frame) (bool, error) {
 	var liveBytes int64
 	for _, fr := range live {
@@ -273,14 +237,8 @@ func (l *Log) Compact(live []Frame) (bool, error) {
 	return true, err
 }
 
-// Close syncs and closes the log.
-func (l *Log) Close() error {
-	err := l.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close closes the log. Every appended record is already durable.
+func (l *Log) Close() error { return l.f.Close() }
 
 // WriteFile replaces the file at path with data atomically: a crash
 // leaves either the old content or the new, never a mix or a truncated

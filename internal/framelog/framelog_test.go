@@ -138,33 +138,6 @@ func TestReadAtRechecksCRC(t *testing.T) {
 	}
 }
 
-func TestBufferReachesFileOnSync(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.log")
-	l, _, _ := openTest(t, path)
-	l.Buffer([]byte("staged"))
-	if fi, _ := os.Stat(path); fi.Size() != 0 {
-		t.Fatalf("buffered record written before Sync: %d bytes", fi.Size())
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Past flushBytes the staged records are written without a Sync.
-	big := bytes.Repeat([]byte{'b'}, flushBytes)
-	l.Buffer(big)
-	if fi, _ := os.Stat(path); fi.Size() != l.Size() {
-		t.Fatalf("file is %d bytes, log %d: the full buffer was not written", fi.Size(), l.Size())
-	}
-	l.Buffer([]byte("closed"))
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, got, _ := openTest(t, path)
-	defer l.Close()
-	if len(got) != 3 || string(got[0]) != "staged" || string(got[2]) != "closed" {
-		t.Fatalf("replayed %d records", len(got))
-	}
-}
-
 // compactFixture fills a log with n 128 KiB records and returns it
 // with their frames.
 func compactFixture(t *testing.T, path string, n int) (*Log, []Frame) {

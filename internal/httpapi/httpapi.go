@@ -15,8 +15,7 @@
 //   - request bodies over the endpoint's bound answer an enveloped
 //     413 Request Entity Too Large, whatever the endpoint
 //
-// The table does its own matching (exact segments plus {name}
-// wildcards, exposed via http.Request.PathValue) instead of wrapping
+// The table does its own matching (literal paths) instead of wrapping
 // http.ServeMux: the mux writes its 404/405 responses as plain text
 // before a handler ever runs, which is exactly the inconsistency this
 // package exists to remove.
@@ -73,36 +72,13 @@ func Errorf(w http.ResponseWriter, status int, code, format string, args ...any)
 	WriteError(w, status, code, fmt.Sprintf(format, args...))
 }
 
-// route is one registered (method, pattern) pair. Patterns are
-// slash-separated; a segment written {name} matches any single
-// non-empty segment and is exposed as r.PathValue(name).
+// route is one registered (method, pattern) pair. A pattern is a
+// literal path; leading and trailing slashes do not matter.
 type route struct {
 	method  string
 	pattern string
-	segs    []string
+	path    string // pattern without its outer slashes
 	h       http.Handler
-}
-
-func (rt *route) match(segs []string) bool {
-	if len(segs) != len(rt.segs) {
-		return false
-	}
-	for i, p := range rt.segs {
-		if isParam(p) {
-			if segs[i] == "" {
-				return false
-			}
-			continue
-		}
-		if p != segs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func isParam(seg string) bool {
-	return len(seg) > 2 && seg[0] == '{' && seg[len(seg)-1] == '}'
 }
 
 // Table is the unified route table: every handler mounted on it shares
@@ -118,13 +94,13 @@ func NewTable() *Table { return &Table{} }
 // Registering the same (method, pattern) twice panics — a route table
 // with silent shadowing is a routing bug waiting to be found in prod.
 func (t *Table) Handle(method, pattern string, h http.Handler) {
-	segs := splitPath(pattern)
+	path := strings.Trim(pattern, "/")
 	for _, rt := range t.routes {
-		if rt.method == method && strings.Join(rt.segs, "/") == strings.Join(segs, "/") {
+		if rt.method == method && rt.path == path {
 			panic(fmt.Sprintf("httpapi: duplicate route %s %s", method, pattern))
 		}
 	}
-	t.routes = append(t.routes, route{method: method, pattern: pattern, segs: segs, h: h})
+	t.routes = append(t.routes, route{method: method, pattern: pattern, path: path, h: h})
 }
 
 // HandleFunc is Handle for a plain handler function.
@@ -132,35 +108,22 @@ func (t *Table) HandleFunc(method, pattern string, h http.HandlerFunc) {
 	t.Handle(method, pattern, h)
 }
 
-func splitPath(p string) []string {
-	p = strings.Trim(p, "/")
-	if p == "" {
-		return nil
-	}
-	return strings.Split(p, "/")
-}
-
-// ServeHTTP implements http.Handler: exact-or-wildcard match, enveloped
+// ServeHTTP implements http.Handler: exact path match, enveloped
 // 404 for unknown paths, 405 with an Allow header when the path exists
 // under other methods. A matched request's r.Pattern is the route's
 // registered pattern, as http.ServeMux sets it; unmatched requests
 // leave it empty.
 func (t *Table) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	segs := splitPath(r.URL.Path)
+	path := strings.Trim(r.URL.Path, "/")
 	var allowed []string
 	for i := range t.routes {
 		rt := &t.routes[i]
-		if !rt.match(segs) {
+		if rt.path != path {
 			continue
 		}
 		if rt.method != r.Method {
 			allowed = append(allowed, rt.method)
 			continue
-		}
-		for j, p := range rt.segs {
-			if isParam(p) {
-				r.SetPathValue(p[1:len(p)-1], segs[j])
-			}
 		}
 		r.Pattern = rt.pattern
 		rt.h.ServeHTTP(w, r)
@@ -232,15 +195,4 @@ func ReadBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, b
 func isTooLarge(err error) bool {
 	var tooLarge *http.MaxBytesError
 	return errors.As(err, &tooLarge)
-}
-
-// DecodeError reads a response body that may carry the error envelope
-// and returns its message (or a status-line fallback) — the client-side
-// half of the envelope contract.
-func DecodeError(resp *http.Response) string {
-	var body ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err == nil && body.Error.Message != "" {
-		return body.Error.Message
-	}
-	return resp.Status
 }

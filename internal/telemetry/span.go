@@ -67,16 +67,6 @@ func (s Span) Total() time.Duration {
 	return sum
 }
 
-// Complete reports whether all four phases were recorded.
-func (s Span) Complete() bool {
-	for _, p := range AllPhases {
-		if _, ok := s.Phases[p]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders a one-line summary suitable for operator logs.
 func (s Span) String() string {
 	parts := make([]string, 0, len(AllPhases)+1)

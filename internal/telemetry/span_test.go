@@ -19,8 +19,8 @@ func TestSpanLifecycle(t *testing.T) {
 	if len(tr.active) != 1 {
 		t.Fatalf("active = %d spans, want 1", len(tr.active))
 	}
-	if !tr.active[key].Complete() {
-		t.Fatalf("span %v not complete", tr.active[key])
+	if got := len(tr.active[key].Phases); got != len(AllPhases) {
+		t.Fatalf("span %v has %d phases, want all %d", tr.active[key], got, len(AllPhases))
 	}
 	if got := tr.active[key].Phases[PhaseVerification]; got != 2*time.Second {
 		t.Fatalf("verification = %v, want 2s", got)
@@ -69,8 +69,8 @@ func TestEndUnknownKey(t *testing.T) {
 	if len(done) != 1 || done[0].Outcome != "rejected-manifest" {
 		t.Fatalf("completed = %+v", done)
 	}
-	if done[0].Complete() {
-		t.Fatal("empty span reported complete")
+	if len(done[0].Phases) != 0 {
+		t.Fatalf("empty span has phases %v", done[0].Phases)
 	}
 }
 

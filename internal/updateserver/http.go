@@ -43,8 +43,7 @@ import (
 // /api/v1 surface shares the JSON error envelope
 // ({"error":{"code":...,"message":...}}), answers 405 with an Allow
 // header on wrong methods, and returns 413 for any oversized request
-// body. Additional route sets (the campaign control plane) mount onto
-// the same table via WithRoutes.
+// body.
 //
 // Every request body is bounded with http.MaxBytesReader and every
 // body-carrying endpoint checks its Content-Type. The images endpoint
@@ -106,11 +105,10 @@ type publishedJSON struct {
 }
 
 // Handler returns the HTTP handler exposing the server's API: one
-// httpapi.Table carrying the update/publish endpoints plus any route
-// sets mounted via WithRoutes (the campaign control plane). Every
-// request is counted in upkit_http_requests_total{path,code}, where
-// path is the matched route's pattern, or "other" when no route
-// matched, so the series count is bounded by the route table.
+// httpapi.Table carrying the update/publish endpoints. Every request is
+// counted in upkit_http_requests_total{path,code}, where path is the
+// matched route's pattern, or "other" when no route matched, so the
+// series count is bounded by the route table.
 func (s *Server) Handler() http.Handler {
 	t := httpapi.NewTable()
 	t.HandleFunc(http.MethodGet, "/api/v1/version", s.handleHTTPVersion)
@@ -120,9 +118,6 @@ func (s *Server) Handler() http.Handler {
 	t.HandleFunc(http.MethodGet, "/api/v1/stats", s.handleHTTPStats)
 	t.HandleFunc(http.MethodGet, "/api/v1/keys", s.handleHTTPKeys)
 	t.Handle(http.MethodGet, "/api/v1/metrics", s.tel.Handler())
-	for _, mount := range s.mounts {
-		mount(t)
-	}
 	return s.countRequests(t)
 }
 

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"upkit/internal/dist"
-	"upkit/internal/httpapi"
 	"upkit/internal/manifest"
 	"upkit/internal/security"
 	"upkit/internal/telemetry"
@@ -122,10 +121,6 @@ type Server struct {
 	// met holds the pre-resolved handles for the request hot path.
 	tel *telemetry.Registry
 	met serverMetrics
-
-	// mounts are extra route sets (e.g. the campaign control plane)
-	// registered onto the Handler's route table; see WithRoutes.
-	mounts []func(*httpapi.Table)
 }
 
 // serverMetrics are the update server's pre-resolved metric handles.
@@ -195,18 +190,6 @@ func WithStore(st ReleaseStore) Option {
 	return func(s *Server) {
 		if st != nil {
 			s.store = st
-		}
-	}
-}
-
-// WithRoutes mounts an additional route set onto the server's HTTP
-// route table — the hook the campaign control plane uses to appear on
-// the same mux, same error envelope, same request counting as the
-// update API. The registrar runs once per Handler call.
-func WithRoutes(register func(*httpapi.Table)) Option {
-	return func(s *Server) {
-		if register != nil {
-			s.mounts = append(s.mounts, register)
 		}
 	}
 }

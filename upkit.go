@@ -240,8 +240,8 @@ type (
 // NewCampaign creates a rollout of target across devices in staged
 // waves with failure gates, a mid-wave circuit breaker, and per-device
 // retries. RunContext is the primary entry point (Run is a convenience
-// wrapper); Pause, Progress, and Checkpoint observe and manage the run
-// from other goroutines.
+// wrapper); canceling its context halts the rollout and skips the
+// devices not yet started.
 func NewCampaign(target uint16, policy CampaignPolicy, devices []FleetUpdater) (*fleet.Campaign, error) {
 	return fleet.New(target, policy, devices)
 }
