@@ -16,13 +16,15 @@
 // Timing is modelled, content is real: every byte written here is a byte
 // the update pipeline actually produced.
 //
-// The backing store is sparse: one buffer per erase sector, and an
-// erased sector has none. That is a host-side economy only. Every erase,
-// page program and page read is still performed, counted, charged to
-// the clock and offered to fault injection exactly as if the chip were
-// one dense array — including programs of 0xFF into an erased sector
-// and erases of an already-erased one, which the modelled device does
-// pay for.
+// The backing store is sparse and content-shared: an erased sector has
+// no buffer, and a sector programmed whole in one call refers to the one
+// process-wide copy of its content (shared.go) until a later program or
+// Corrupt gives it a private copy. Both are host-side economies only.
+// Every erase, page program and page read is still performed, counted,
+// charged to the clock and offered to fault injection exactly as if the
+// chip were one dense array — including programs of 0xFF into an erased
+// sector and erases of an already-erased one, which the modelled device
+// does pay for.
 package flash
 
 import (
@@ -105,8 +107,11 @@ type Memory struct {
 	// (every byte 0xFF). A buffer appears on the first program that
 	// clears a bit and goes away on the next erase.
 	sectors [][]byte
-	clock   *simclock.Clock
-	stats   Stats
+	// shared[sec], if set, is the canonical chunk sectors[sec] aliases:
+	// the sector is read-only until writableLocked copies it.
+	shared []*chunk
+	clock  *simclock.Clock
+	stats  Stats
 
 	// eraseCounts tracks wear per sector (diagnostics and tests).
 	eraseCounts []int
@@ -126,6 +131,7 @@ func New(geo Geometry, clock *simclock.Clock) (*Memory, error) {
 	return &Memory{
 		geo:         geo,
 		sectors:     make([][]byte, sectors),
+		shared:      make([]*chunk, sectors),
 		clock:       clock,
 		eraseCounts: make([]int, sectors),
 		failAfter:   -1,
@@ -177,6 +183,21 @@ func (m *Memory) consumeFaultLocked() bool {
 	return false
 }
 
+// consumeFaultsLocked consumes n operations at once if none of them
+// would fail, as n calls of consumeFaultLocked returning false would,
+// and reports whether it did; otherwise it consumes nothing. Callers
+// hold m.mu.
+func (m *Memory) consumeFaultsLocked(n int) bool {
+	switch {
+	case m.failAfter < 0:
+		return true
+	case m.failAfter < n:
+		return false
+	}
+	m.failAfter -= n
+	return true
+}
+
 func (m *Memory) advance(d time.Duration) {
 	if m.clock != nil {
 		m.clock.Advance(d)
@@ -195,7 +216,7 @@ func (m *Memory) EraseSector(offset int) error {
 		return ErrPowerLoss
 	}
 	sec := offset / m.geo.SectorSize
-	m.sectors[sec] = nil // erased: no buffer
+	m.sectors[sec], m.shared[sec] = nil, nil // erased: no buffer
 	m.stats.SectorErases++
 	m.eraseCounts[sec]++
 	m.mu.Unlock()
@@ -221,10 +242,22 @@ func (m *Memory) Program(offset int, data []byte) error {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: at %#x", ErrNotErased, offset+i)
 	}
+	ss, perSector := m.geo.SectorSize, m.geo.SectorSize/m.geo.PageSize
 	pages := 0
 	written := 0
 	torn := false
 	for start := 0; start < len(data); {
+		// A whole erased sector whose pages all clear fault injection
+		// takes the shared copy of its content in one step; a fault due
+		// inside it tears it page by page below.
+		if at := offset + start; at%ss == 0 && len(data)-start >= ss &&
+			m.sectors[at/ss] == nil && m.consumeFaultsLocked(perSector) {
+			m.shareLocked(at/ss, data[start:start+ss])
+			written += ss
+			pages += perSector
+			start += ss
+			continue
+		}
 		if m.consumeFaultLocked() {
 			torn = true
 			break
@@ -281,14 +314,14 @@ func (m *Memory) Corrupt(offset int, mask byte) error {
 		return nil
 	}
 	m.mu.Lock()
-	m.materializeLocked(offset / m.geo.SectorSize)[offset%m.geo.SectorSize] ^= mask
+	m.writableLocked(offset / m.geo.SectorSize)[offset%m.geo.SectorSize] ^= mask
 	m.mu.Unlock()
 	return nil
 }
 
 // The sparse store. Apart from EraseSector dropping a buffer, everything
 // above reaches sector content only through these accessors; callers
-// hold m.mu.
+// hold m.mu. Only writableLocked hands out a buffer that may be written.
 
 // erased is a block of erased flash: what a sector without a buffer
 // reads as. It is never written after initialisation.
@@ -318,15 +351,28 @@ func isErased(b []byte) bool {
 	return true
 }
 
-// materializeLocked returns the buffer of sector sec, giving an erased
-// sector one first.
-func (m *Memory) materializeLocked(sec int) []byte {
-	if m.sectors[sec] == nil {
+// writableLocked returns a private buffer of sector sec, giving an
+// erased sector one and copying a shared one first.
+func (m *Memory) writableLocked(sec int) []byte {
+	switch {
+	case m.sectors[sec] == nil:
 		buf := make([]byte, m.geo.SectorSize)
 		fillErased(buf)
 		m.sectors[sec] = buf
+	case m.shared[sec] != nil:
+		m.sectors[sec], m.shared[sec] = bytes.Clone(m.sectors[sec]), nil
 	}
 	return m.sectors[sec]
+}
+
+// shareLocked makes erased sector sec hold content, a whole sector, by
+// reference to the content table. Blank content keeps it erased.
+func (m *Memory) shareLocked(sec int, content []byte) {
+	if isErased(content) {
+		return
+	}
+	c := intern(content)
+	m.sectors[sec], m.shared[sec] = c.b, c
 }
 
 // readLocked copies the content at [offset, offset+len(buf)) into buf.
@@ -363,31 +409,37 @@ func (m *Memory) firstSetBitLocked(offset int, data []byte) int {
 }
 
 // programPageLocked ANDs src into the flash at offset. src lies within
-// one page and therefore within one sector. An erased sector gets a
-// buffer only if src clears a bit.
+// one page and therefore within one sector. A sector gets a buffer of
+// its own only if src clears a bit it has set.
 func (m *Memory) programPageLocked(offset int, src []byte) {
 	ss := m.geo.SectorSize
 	sec, o := offset/ss, offset%ss
-	if m.sectors[sec] == nil {
+	switch {
+	case m.sectors[sec] == nil:
 		if isErased(src) {
 			return
 		}
-		copy(m.materializeLocked(sec)[o:], src) // 0xFF & s == s
-		return
+	case m.shared[sec] != nil:
+		if firstSetBit(src, m.sectors[sec][o:o+len(src)]) < 0 {
+			return // clears nothing: the shared copy stays right
+		}
 	}
-	andBytes(m.sectors[sec][o:o+len(src)], src)
+	andBytes(m.writableLocked(sec)[o:o+len(src)], src)
 }
 
 // loadLocked replaces the chip content with raw followed by erased
-// flash, bypassing NOR semantics. Blank sectors get no buffer.
+// flash, bypassing NOR semantics. Blank sectors get no buffer, whole
+// ones share their content, and a short last one gets its own.
 func (m *Memory) loadLocked(raw []byte) {
 	ss := m.geo.SectorSize
 	for sec := range m.sectors {
-		m.sectors[sec] = nil
-		if lo := sec * ss; lo < len(raw) {
-			if chunk := raw[lo:min(len(raw), lo+ss)]; !isErased(chunk) {
-				copy(m.materializeLocked(sec), chunk)
-			}
+		m.sectors[sec], m.shared[sec] = nil, nil
+		lo := sec * ss
+		switch {
+		case lo+ss <= len(raw):
+			m.shareLocked(sec, raw[lo:lo+ss])
+		case lo < len(raw) && !isErased(raw[lo:]):
+			copy(m.writableLocked(sec), raw[lo:])
 		}
 	}
 }

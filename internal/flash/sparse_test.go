@@ -47,83 +47,107 @@ func (s *opStream) byte() int {
 
 func (s *opStream) word() int { return s.byte()<<8 | s.byte() }
 
-// differ drives a sparse and a dense chip through the same operations
-// and compares everything observable after each one.
-type differ struct {
-	t      *testing.T
-	geo    Geometry
+// chipPair is one sparse chip and its dense reference, each on its own
+// clock.
+type chipPair struct {
 	sparse *Memory
 	dense  *denseMemory
 	sclk   *simclock.Clock
 	dclk   *simclock.Clock
-	step   int
+}
+
+// differ drives two chip pairs through operations and compares
+// everything observable of a pair after each operation on it. The two
+// sparse chips share the content of the sectors they both hold whole, so
+// an operation on one must leave the other, and its reference, alone.
+type differ struct {
+	t     *testing.T
+	geo   Geometry
+	chips [2]chipPair
+	step  int
 }
 
 func newDiffer(t *testing.T, geo Geometry) *differ {
 	t.Helper()
-	d := &differ{t: t, geo: geo, sclk: simclock.New(), dclk: simclock.New()}
-	var err error
-	if d.sparse, err = New(geo, d.sclk); err != nil {
-		t.Fatal(err)
-	}
-	if d.dense, err = newDense(geo, d.dclk); err != nil {
-		t.Fatal(err)
+	d := &differ{t: t, geo: geo}
+	for i := range d.chips {
+		c := &d.chips[i]
+		c.sclk, c.dclk = simclock.New(), simclock.New()
+		var err error
+		if c.sparse, err = New(geo, c.sclk); err != nil {
+			t.Fatal(err)
+		}
+		if c.dense, err = newDense(geo, c.dclk); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return d
 }
 
-// check compares the errors of one operation and then all accounting.
-func (d *differ) check(op string, sparseErr, denseErr error) {
+// check compares the errors of one operation on c and then all of c's
+// accounting.
+func (d *differ) check(c *chipPair, op string, sparseErr, denseErr error) {
 	d.t.Helper()
 	d.step++
 	if fmt.Sprint(sparseErr) != fmt.Sprint(denseErr) {
 		d.t.Fatalf("step %d %s: sparse error %v, dense error %v", d.step, op, sparseErr, denseErr)
 	}
-	if s, r := d.sparse.Stats(), d.dense.Stats(); s != r {
+	if s, r := c.sparse.Stats(), c.dense.Stats(); s != r {
 		d.t.Fatalf("step %d %s: sparse stats %+v, dense stats %+v", d.step, op, s, r)
 	}
-	if s, r := d.sclk.Now(), d.dclk.Now(); s != r {
+	if s, r := c.sclk.Now(), c.dclk.Now(); s != r {
 		d.t.Fatalf("step %d %s: sparse clock %v, dense clock %v", d.step, op, s, r)
 	}
 	for sec := 0; sec < d.geo.Size/d.geo.SectorSize; sec++ {
-		if s, r := d.sparse.EraseCount(sec), d.dense.EraseCount(sec); s != r {
+		if s, r := c.sparse.EraseCount(sec), c.dense.EraseCount(sec); s != r {
 			d.t.Fatalf("step %d %s: sector %d erased %d times sparse, %d dense", d.step, op, sec, s, r)
 		}
 	}
 }
 
+// snapshot compares the content of both pairs.
 func (d *differ) snapshot() {
 	d.t.Helper()
-	s, r := d.sparse.Snapshot(), d.dense.Snapshot()
-	if !bytes.Equal(s, r) {
-		for i := range s {
-			if s[i] != r[i] {
-				d.t.Fatalf("step %d: content differs first at %#x: sparse %#x, dense %#x", d.step, i, s[i], r[i])
+	for i := range d.chips {
+		c := &d.chips[i]
+		s, r := c.sparse.Snapshot(), c.dense.Snapshot()
+		if !bytes.Equal(s, r) {
+			for j := range s {
+				if s[j] != r[j] {
+					d.t.Fatalf("step %d: chip %d content differs first at %#x: sparse %#x, dense %#x", d.step, i, j, s[j], r[j])
+				}
 			}
+			d.t.Fatalf("step %d: chip %d snapshot lengths %d and %d", d.step, i, len(s), len(r))
 		}
-		d.t.Fatalf("step %d: snapshot lengths %d and %d", d.step, len(s), len(r))
+		d.check(c, "snapshot", nil, nil)
 	}
-	d.check("snapshot", nil, nil)
 }
 
-func (d *differ) program(op string, off int, data []byte) {
+func (d *differ) program(c *chipPair, op string, off int, data []byte) {
 	d.t.Helper()
-	d.check(fmt.Sprintf("%s program [%#x,+%d)", op, off, len(data)),
-		d.sparse.Program(off, data), d.dense.Program(off, data))
+	d.check(c, fmt.Sprintf("%s program [%#x,+%d)", op, off, len(data)),
+		c.sparse.Program(off, data), c.dense.Program(off, data))
 }
 
-// current returns the dense model's content at [off, off+n) without
-// touching either chip's accounting, clamped to the chip.
-func (d *differ) current(off, n int) []byte {
+// current returns the dense model's content of c at [off, off+n)
+// without touching either chip's accounting, clamped to the chip.
+func (d *differ) current(c *chipPair, off, n int) []byte {
 	off = min(max(off, 0), d.geo.Size)
 	n = min(n, d.geo.Size-off)
-	return append([]byte(nil), d.dense.data[off:off+n]...)
+	return append([]byte(nil), c.dense.data[off:off+n]...)
+}
+
+// load is RestoreFromFile without the file: raw, then erased flash.
+func (m *denseMemory) load(raw []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fillErased(m.data[copy(m.data, raw):])
 }
 
 // runDifferential interprets input as a sequence of operations. The
 // first byte picks the geometry, the next four seed the data generator;
-// after that each operation is an opcode byte followed by its
-// parameters.
+// after that each operation is an opcode byte, which also picks the
+// chip pair it acts on, followed by its parameters.
 func runDifferential(t *testing.T, input []byte) {
 	t.Helper()
 	s := &opStream{in: input}
@@ -136,66 +160,108 @@ func runDifferential(t *testing.T, input []byte) {
 		rng.Read(b)
 		return b
 	}
+	// Whole-sector contents both chips program, so that they share them:
+	// random bytes, random pages between blank ones, and a blank sector.
+	palette := [][]byte{randomData(geo.SectorSize), randomData(geo.SectorSize), bytes.Repeat([]byte{0xFF}, geo.SectorSize)}
+	for p := 0; p < geo.SectorSize; p += 2 * geo.PageSize {
+		fillErased(palette[1][p:min(p+geo.PageSize, geo.SectorSize)])
+	}
+	const ops = 17
 	for !s.done {
-		switch op := s.byte() % 14; op {
+		b := s.byte()
+		c, other := &d.chips[b/ops%2], &d.chips[1-b/ops%2]
+		switch op := b % ops; op {
 		case 0: // erase an aligned sector (often an already-erased one)
 			off := s.byte() % sectors * geo.SectorSize
-			d.check(fmt.Sprintf("erase %#x", off), d.sparse.EraseSector(off), d.dense.EraseSector(off))
+			d.check(c, fmt.Sprintf("erase %#x", off), c.sparse.EraseSector(off), c.dense.EraseSector(off))
 		case 1: // erase at an arbitrary, mostly misaligned or out-of-range offset
 			off := s.word() - 64
-			d.check(fmt.Sprintf("erase %#x", off), d.sparse.EraseSector(off), d.dense.EraseSector(off))
+			d.check(c, fmt.Sprintf("erase %#x", off), c.sparse.EraseSector(off), c.dense.EraseSector(off))
 		case 2: // whole aligned pages
 			off := s.word() % (geo.Size / geo.PageSize) * geo.PageSize
 			n := min((1+s.byte()%3)*geo.PageSize, geo.Size-off)
-			d.program("aligned", off, randomData(n))
+			d.program(c, "aligned", off, randomData(n))
 		case 3: // short unaligned write
-			d.program("unaligned", s.word()%geo.Size, randomData(s.byte()%41))
+			d.program(c, "unaligned", s.word()%geo.Size, randomData(s.byte()%41))
 		case 4: // write straddling a page boundary
 			page := 1 + s.word()%(geo.Size/geo.PageSize-1)
 			before := 1 + s.byte()%(geo.PageSize-1)
-			d.program("page-crossing", page*geo.PageSize-before, randomData(before+1+s.byte()%geo.PageSize))
+			d.program(c, "page-crossing", page*geo.PageSize-before, randomData(before+1+s.byte()%geo.PageSize))
 		case 5: // write straddling a sector boundary
 			sec := 1 + s.byte()%(sectors-1)
 			before := 1 + s.word()%(geo.SectorSize-1)
 			n := min(before+1+s.word()%(2*geo.PageSize), geo.Size-(sec*geo.SectorSize-before))
-			d.program("sector-crossing", sec*geo.SectorSize-before, randomData(n))
+			d.program(c, "sector-crossing", sec*geo.SectorSize-before, randomData(n))
 		case 6: // all-0xFF data, any alignment, up to two sectors
 			off := s.word() % geo.Size
 			n := min(s.word()%(2*geo.SectorSize+1), geo.Size-off)
-			d.program("blank", off, bytes.Repeat([]byte{0xFF}, n))
+			d.program(c, "blank", off, bytes.Repeat([]byte{0xFF}, n))
 		case 7: // legal overwrite: only clears bits of what is there
 			off := s.word() % geo.Size
-			data := d.current(off, 1+s.word()%(geo.SectorSize+geo.PageSize))
+			data := d.current(c, off, 1+s.word()%(geo.SectorSize+geo.PageSize))
 			for i, mask := range randomData(len(data)) {
 				data[i] &= mask
 			}
-			d.program("overwrite", off, data)
+			d.program(c, "overwrite", off, data)
 		case 8: // NOR violation at a chosen byte of an otherwise legal write
 			off := s.word() % geo.Size
-			data := d.current(off, 1+s.word()%(geo.SectorSize+geo.PageSize))
+			data := d.current(c, off, 1+s.word()%(geo.SectorSize+geo.PageSize))
 			data[s.word()%len(data)] = 0xFF
-			d.program("violating", off, data)
+			d.program(c, "violating", off, data)
 		case 9: // read, including empty, sector-crossing and out-of-range
 			off, n := s.word()-8, s.word()%(2*geo.SectorSize+2)
 			sb, rb := randomData(n), make([]byte, n)
 			copy(rb, sb) // a failed read must leave both buffers alone
-			serr, rerr := d.sparse.Read(off, sb), d.dense.Read(off, rb)
+			serr, rerr := c.sparse.Read(off, sb), c.dense.Read(off, rb)
 			if !bytes.Equal(sb, rb) {
 				t.Fatalf("step %d read [%#x,+%d): bytes differ", d.step+1, off, n)
 			}
-			d.check(fmt.Sprintf("read [%#x,+%d)", off, n), serr, rerr)
+			d.check(c, fmt.Sprintf("read [%#x,+%d)", off, n), serr, rerr)
 		case 10:
 			off, mask := s.word()-8, byte(s.byte())
-			d.check(fmt.Sprintf("corrupt %#x^%#x", off, mask), d.sparse.Corrupt(off, mask), d.dense.Corrupt(off, mask))
+			d.check(c, fmt.Sprintf("corrupt %#x^%#x", off, mask), c.sparse.Corrupt(off, mask), c.dense.Corrupt(off, mask))
 		case 11:
 			n := s.byte()%12 - 1
-			d.sparse.FailAfter(n)
-			d.dense.FailAfter(n)
+			c.sparse.FailAfter(n)
+			c.dense.FailAfter(n)
 		case 12:
-			d.sparse.ClearFault()
-			d.dense.ClearFault()
+			c.sparse.ClearFault()
+			c.dense.ClearFault()
 		case 13:
 			d.snapshot()
+		case 14: // whole sectors of shared content, mostly erased first
+			sec, k, erase := s.byte()%sectors, s.byte(), s.byte()%4 != 0
+			n := min(1+s.byte()%2, sectors-sec)
+			off := sec * geo.SectorSize
+			if erase {
+				for e := off; e < off+n*geo.SectorSize; e += geo.SectorSize {
+					d.check(c, fmt.Sprintf("erase %#x", e), c.sparse.EraseSector(e), c.dense.EraseSector(e))
+				}
+			}
+			var data []byte
+			for i := range n {
+				data = append(data, palette[(k+i)%len(palette)]...)
+			}
+			d.program(c, "whole-sector", off, data)
+		case 15: // a swap phase: read the other chip's sector, erase, program
+			src, dst := s.byte()%sectors*geo.SectorSize, s.byte()%sectors*geo.SectorSize
+			sb, rb := make([]byte, geo.SectorSize), make([]byte, geo.SectorSize)
+			d.check(other, fmt.Sprintf("read [%#x,+%d)", src, len(sb)), other.sparse.Read(src, sb), other.dense.Read(src, rb))
+			if !bytes.Equal(sb, rb) {
+				t.Fatalf("step %d read [%#x,+%d): bytes differ", d.step, src, len(sb))
+			}
+			d.check(c, fmt.Sprintf("erase %#x", dst), c.sparse.EraseSector(dst), c.dense.EraseSector(dst))
+			d.program(c, "sector-copy", dst, sb)
+		case 16: // restore a dump of the other chip, often a short one
+			raw := d.current(other, 0, geo.Size)
+			if s.byte()%2 == 0 {
+				raw = raw[:s.word()%(geo.Size+1)]
+			}
+			c.sparse.mu.Lock()
+			c.sparse.loadLocked(raw)
+			c.sparse.mu.Unlock()
+			c.dense.load(raw)
+			d.check(c, fmt.Sprintf("restore %d bytes", len(raw)), nil, nil)
 		}
 	}
 	d.snapshot()
@@ -233,7 +299,7 @@ func FuzzFlashDifferential(f *testing.F) {
 	})
 }
 
-// buffers counts the sectors that hold a buffer.
+// buffers counts the sectors that hold a buffer, private or shared.
 func (m *Memory) buffers() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

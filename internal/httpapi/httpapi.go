@@ -110,9 +110,10 @@ func (t *Table) HandleFunc(method, pattern string, h http.HandlerFunc) {
 
 // ServeHTTP implements http.Handler: exact path match, enveloped
 // 404 for unknown paths, 405 with an Allow header when the path exists
-// under other methods. A matched request's r.Pattern is the route's
-// registered pattern, as http.ServeMux sets it; unmatched requests
-// leave it empty.
+// under other methods. A request whose path matched — whatever its
+// method — gets the route's registered pattern in r.Pattern, as
+// http.ServeMux sets it, so a 405 is attributed to the route it hit;
+// unknown paths leave it empty.
 func (t *Table) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := strings.Trim(r.URL.Path, "/")
 	var allowed []string
@@ -121,11 +122,11 @@ func (t *Table) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if rt.path != path {
 			continue
 		}
+		r.Pattern = rt.pattern
 		if rt.method != r.Method {
 			allowed = append(allowed, rt.method)
 			continue
 		}
-		r.Pattern = rt.pattern
 		rt.h.ServeHTTP(w, r)
 		return
 	}

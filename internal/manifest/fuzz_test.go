@@ -45,3 +45,30 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDeviceTokenUnmarshal throws arbitrary bytes at the token decoder,
+// which the pull server runs on every session request before anything
+// is signed. Contract: never panic, and re-encode an accepted token to
+// exactly the bytes it came from.
+func FuzzDeviceTokenUnmarshal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, TokenEncodedSize))
+	f.Add(make([]byte, TokenEncodedSize+1))
+	if enc, err := (DeviceToken{DeviceID: 0xD1, Nonce: 0xC0FFEE, CurrentVersion: 1}).MarshalBinary(); err == nil {
+		f.Add(enc)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tok DeviceToken
+		if err := tok.UnmarshalBinary(data); err != nil {
+			return
+		}
+		reenc, err := tok.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded token failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(reenc, data) {
+			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, reenc)
+		}
+	})
+}

@@ -45,6 +45,7 @@ type ring struct {
 	scanned           bool
 	nextSeq           uint32
 	cursor            int
+	blankBuf          []byte // blank's read buffer, one frame
 }
 
 // newRing completes r, whose user has set its region and format fields.
@@ -138,7 +139,10 @@ func (r *ring) write(payload []byte) error {
 
 // blank reports whether frame i is fully erased.
 func (r *ring) blank(i int) bool {
-	buf := make([]byte, r.frameSize)
+	if r.blankBuf == nil {
+		r.blankBuf = make([]byte, r.frameSize)
+	}
+	buf := r.blankBuf
 	if err := r.region.ReadAt(i*r.frameSize, buf); err != nil {
 		return false
 	}

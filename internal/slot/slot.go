@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"upkit/internal/flash"
 	"upkit/internal/manifest"
@@ -336,11 +337,50 @@ func (w *Writer) Write(p []byte) (int, error) {
 func (w *Writer) Written() int { return w.pos }
 
 // Reader reads firmware bytes; it implements io.Reader and io.ReaderAt
-// (the latter is what the bspatch stage uses for old-image access).
+// (the latter is what the bspatch stage uses for old-image access), and
+// io.WriterTo, so that io.Copy — the verifier's digest — streams it
+// through a pooled buffer instead of allocating one per copy.
 type Reader struct {
 	slot *Slot
 	size int
 	pos  int
+}
+
+var _ io.WriterTo = (*Reader)(nil)
+
+// sectorBufs holds the read buffers of Reader.WriteTo, one flash sector
+// each.
+var sectorBufs sync.Pool
+
+// WriteTo implements io.WriterTo: it writes the rest of the firmware to
+// w one sector-sized read at a time. Every chunk but the last is a whole
+// number of pages, so the reads are charged exactly the pages io.Copy's
+// own buffer would have been.
+func (r *Reader) WriteTo(w io.Writer) (int64, error) {
+	sector := r.slot.region.Mem.Geometry().SectorSize
+	bp, _ := sectorBufs.Get().(*[]byte)
+	if bp == nil || len(*bp) < sector {
+		b := make([]byte, sector)
+		bp = &b
+	}
+	defer sectorBufs.Put(bp)
+	buf := (*bp)[:sector]
+	var total int64
+	for r.pos < r.size {
+		n, err := r.Read(buf)
+		if err != nil {
+			return total, err
+		}
+		m, err := w.Write(buf[:n])
+		total += int64(m)
+		if err != nil {
+			return total, err
+		}
+		if m != n {
+			return total, io.ErrShortWrite
+		}
+	}
+	return total, nil
 }
 
 // Size reports the firmware size from the manifest.

@@ -497,9 +497,9 @@ func TestHTTPErrorsUseEnvelope(t *testing.T) {
 }
 
 // TestHTTPRequestCounterCardinalityBounded: upkit_http_requests_total
-// is labelled with the matched route pattern, or "other" when nothing
-// matched, so neither unknown paths nor query strings grow the series
-// set.
+// is labelled with the matched route pattern — also when the method
+// is wrong (405) — or "other" when no path matched, so neither unknown
+// paths nor query strings grow the series set.
 func TestHTTPRequestCounterCardinalityBounded(t *testing.T) {
 	s := newServers(t)
 	h := s.update.Handler()
@@ -533,6 +533,13 @@ func TestHTTPRequestCounterCardinalityBounded(t *testing.T) {
 			t.Fatalf("stats route: %d, want 200", code)
 		}
 	}
+	for range 3 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/api/v1/stats", nil))
+		if rec.Code != http.StatusMethodNotAllowed {
+			t.Fatalf("DELETE /api/v1/stats: %d, want 405", rec.Code)
+		}
+	}
 	after := series()
 	added := make(map[string]int) // new series per status code
 	for name := range after {
@@ -550,6 +557,7 @@ func TestHTTPRequestCounterCardinalityBounded(t *testing.T) {
 	for name, want := range map[string]string{
 		`upkit_http_requests_total{code="404",path="other"}`:         "500",
 		`upkit_http_requests_total{code="200",path="/api/v1/stats"}`: "50",
+		`upkit_http_requests_total{code="405",path="/api/v1/stats"}`: "3",
 	} {
 		if after[name] != want {
 			t.Errorf("%s = %q, want %s", name, after[name], want)
