@@ -1,9 +1,11 @@
 package coap_test
 
 import (
+	"bytes"
 	"testing"
 
 	"upkit/internal/coap"
+	"upkit/internal/dist"
 	"upkit/internal/manifest"
 	"upkit/internal/proxy"
 	"upkit/internal/testbed"
@@ -55,6 +57,26 @@ func TestProxyHitAllocations(t *testing.T) {
 	req := namedBlockRequest(t, b)
 	if got := serveAllocs(t, cache.Handle, req); got > 2 {
 		t.Fatalf("proxy hit: %.0f allocations, want ≤ 2", got)
+	}
+}
+
+// TestProxyHitAllocationsAlternatingNames is TestProxyHitAllocations
+// with every request naming another payload than the one before, so
+// that each misses the block server's parsed-name memo and replaces it.
+func TestProxyHitAllocationsAlternatingNames(t *testing.T) {
+	reg := dist.NewRegistry(0)
+	names := [2]dist.Name{reg.Put(bytes.Repeat([]byte("a"), 1024)), reg.Put(bytes.Repeat([]byte("b"), 1024))}
+	cache := proxy.NewCache(&coap.Loopback{Handler: (&coap.BlockServer{Source: reg}).Handle}, proxy.CacheOptions{})
+	var reqs [2]*coap.Message
+	for i, name := range names {
+		reqs[i] = namedBlockGET(name)
+		reqs[i].Options[len(reqs[i].Options)-1].Value = coap.Block{Num: 9, SZX: coap.DefaultSZX}.Marshal()
+		cache.Handle(reqs[i]) // fill
+	}
+	n := 0
+	alternate := func(*coap.Message) *coap.Message { n++; return cache.Handle(reqs[n%2]) }
+	if got := serveAllocs(t, alternate, nil); got > 2 {
+		t.Fatalf("proxy hit, alternating names: %.0f allocations, want ≤ 2", got)
 	}
 }
 

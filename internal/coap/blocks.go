@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"upkit/internal/dist"
 	"upkit/internal/telemetry"
@@ -34,6 +35,16 @@ type BlockServer struct {
 	Source dist.Source
 	// Blocks, when set, counts served blocks. Nil drops the samples.
 	Blocks *telemetry.Counter
+
+	// last is the name parsed most recently, with its hex form. A fleet
+	// pulls the blocks of one payload at a time, so nearly every request
+	// names it again and costs a compare instead of a hex decode.
+	last atomic.Pointer[parsedName]
+}
+
+type parsedName struct {
+	hex  [2 * dist.NameSize]byte
+	name dist.Name
 }
 
 // Handle is the CoAP Handler for the named-block resource.
@@ -45,9 +56,15 @@ func (s *BlockServer) Handle(req *Message) *Message {
 	if !ok {
 		return &Message{Type: Acknowledgement, Code: CodeBadReq}
 	}
-	name, err := dist.ParseName(raw)
-	if err != nil {
-		return &Message{Type: Acknowledgement, Code: CodeBadReq}
+	parsed := s.last.Load()
+	if parsed == nil || !bytes.Equal(parsed.hex[:], raw) {
+		name, err := dist.ParseName(raw)
+		if err != nil {
+			return &Message{Type: Acknowledgement, Code: CodeBadReq}
+		}
+		parsed = &parsedName{name: name}
+		copy(parsed.hex[:], raw)
+		s.last.Store(parsed)
 	}
 	block := Block{SZX: DefaultSZX}
 	if v, has := req.Option(OptBlock2); has {
@@ -57,7 +74,7 @@ func (s *BlockServer) Handle(req *Message) *Message {
 		}
 		block = b
 	}
-	data, more, err := s.Source.Block(name, block.Num, block.Size())
+	data, more, err := s.Source.Block(parsed.name, block.Num, block.Size())
 	switch {
 	case errors.Is(err, dist.ErrUnknownName):
 		return &Message{Type: Acknowledgement, Code: CodeNotFound}

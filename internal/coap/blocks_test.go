@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
+	"sync"
 	"testing"
 
 	"upkit/internal/coap"
 	"upkit/internal/dist"
 	"upkit/internal/events"
 	"upkit/internal/platform"
+	"upkit/internal/proxy"
 	"upkit/internal/testbed"
 )
 
@@ -122,6 +125,49 @@ func TestBlockServerErrorMapping(t *testing.T) {
 	if code := get("b="+name.String(), coap.Block{Num: 99, SZX: 2}.Marshal()); code != coap.CodeBadReq {
 		t.Fatalf("out-of-range code = %v, want 4.00", code)
 	}
+}
+
+// TestBlockServerConcurrentNames drives one proxy from goroutines that
+// alternate two payloads' names and a malformed one, so the block
+// server's parsed-name memo is replaced under every reader. Each reply
+// must carry its own name's bytes, and the malformed name is still
+// refused.
+func TestBlockServerConcurrentNames(t *testing.T) {
+	reg := dist.NewRegistry(0)
+	payloads := [2][]byte{bytes.Repeat([]byte("payload-a "), 300), bytes.Repeat([]byte("payload-b!"), 300)}
+	names := [2]dist.Name{reg.Put(payloads[0]), reg.Put(payloads[1])}
+	cache := proxy.NewCache(&coap.Loopback{Handler: (&coap.BlockServer{Source: reg}).Handle}, proxy.CacheOptions{})
+	queries := [3]string{"b=" + names[0].String(), "b=" + names[1].String(), "b=" + strings.Repeat("zz", dist.NameSize)}
+	blocks := (len(payloads[0]) + coap.DefaultBlockSize - 1) / coap.DefaultBlockSize
+
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 600 {
+				k, num := (g+i)%3, i%blocks
+				req := &coap.Message{Type: coap.Confirmable, Code: coap.CodeGET}
+				req.SetPath(coap.PathBlocks)
+				req.AddOption(coap.OptUriQuery, []byte(queries[k]))
+				req.AddOption(coap.OptBlock2, coap.Block{Num: uint32(num), SZX: coap.DefaultSZX}.Marshal())
+				resp := cache.Handle(req)
+				if k == 2 {
+					if resp.Code != coap.CodeBadReq {
+						t.Errorf("malformed name: %v, want 4.00", resp.Code)
+						return
+					}
+					continue
+				}
+				want := payloads[k][num*coap.DefaultBlockSize : min((num+1)*coap.DefaultBlockSize, len(payloads[k]))]
+				if resp.Code != coap.CodeContent || !bytes.Equal(resp.Payload, want) {
+					t.Errorf("name %d block %d: %v %q, want 2.05 %q", k, num, resp.Code, resp.Payload, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestExchangerSourceRoundTrip reassembles a payload through the

@@ -3,16 +3,15 @@
 // energy-efficiency arguments (§I, §VI): radio-on time dominates, and
 // unnecessary reboots waste the whole boot current budget.
 //
-// The meter integrates radio power over virtual time and charges a
+// The meter prices radio air time at the radio's power and charges a
 // fixed cost per reboot. It is an accounting layer only — correctness
 // never depends on it.
 package energy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -44,52 +43,53 @@ func NRF52840Profile() Profile {
 	}
 }
 
-// Meter accumulates energy per component. Safe for concurrent use.
+// Meter accumulates radio air time and reboots, and prices them in
+// microjoules when read: air time is whole nanoseconds and reboots a
+// count, so charges are two atomic adds and their order never moves a
+// reading. Safe for concurrent use.
 type Meter struct {
-	mu      sync.Mutex
 	profile Profile
-	uj      map[Component]float64
+	airNs   atomic.Int64
+	reboots atomic.Int64
 }
 
 // NewMeter creates a meter with the given power profile.
 func NewMeter(p Profile) *Meter {
-	return &Meter{profile: p, uj: make(map[Component]float64)}
+	return &Meter{profile: p}
 }
 
 // Profile returns the meter's power profile.
 func (m *Meter) Profile() Profile { return m.profile }
 
-// add records e microjoules on component c.
-func (m *Meter) add(c Component, e float64) {
-	m.mu.Lock()
-	m.uj[c] += e
-	m.mu.Unlock()
-}
-
 // ChargeRadio records radio activity lasting d.
 func (m *Meter) ChargeRadio(d time.Duration) {
-	m.add(Radio, m.profile.RadioMW*d.Seconds()*1000)
+	m.airNs.Add(int64(d))
 }
 
 // ChargeReboot records one reboot.
 func (m *Meter) ChargeReboot() {
-	m.add(Boot, m.profile.RebootUJ)
+	m.reboots.Add(1)
 }
 
 // Component reports the energy recorded on c, in microjoules.
 func (m *Meter) Component(c Component) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.uj[c]
+	switch c {
+	case Radio:
+		return m.profile.RadioMW * time.Duration(m.airNs.Load()).Seconds() * 1000
+	case Boot:
+		return m.profile.RebootUJ * float64(m.reboots.Load())
+	}
+	return 0
 }
 
-// Snapshot returns a copy of all component accumulators.
+// Snapshot returns the energy of every component charged so far.
 func (m *Meter) Snapshot() map[Component]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[Component]float64, len(m.uj))
-	for k, v := range m.uj {
-		out[k] = v
+	out := make(map[Component]float64, 2)
+	if m.airNs.Load() != 0 {
+		out[Radio] = m.Component(Radio)
+	}
+	if m.reboots.Load() != 0 {
+		out[Boot] = m.Component(Boot)
 	}
 	return out
 }
@@ -97,14 +97,11 @@ func (m *Meter) Snapshot() map[Component]float64 {
 // String renders the meter as "component=XmJ" pairs, sorted.
 func (m *Meter) String() string {
 	snap := m.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%.1fmJ", k, snap[Component(k)]/1000))
+	parts := make([]string, 0, len(snap))
+	for _, c := range []Component{Boot, Radio} {
+		if uj, ok := snap[c]; ok {
+			parts = append(parts, fmt.Sprintf("%s=%.1fmJ", c, uj/1000))
+		}
 	}
 	return strings.Join(parts, " ")
 }

@@ -55,13 +55,35 @@ func TestConcurrentCharges(t *testing.T) {
 			defer wg.Done()
 			for range 100 {
 				m.ChargeRadio(time.Millisecond)
+				m.ChargeReboot()
 			}
 		}()
 	}
 	wg.Wait()
-	want := 50.0 * 0.001 * 1000 * 800 // 50 mW * 1 ms * 800
-	if got := m.Component(Radio); got < want*0.999 || got > want*1.001 {
-		t.Fatalf("radio = %f µJ, want ≈ %f", got, want)
+	// 50 mW * 1 ms * 800 and 5000 µJ * 800: integer air time and reboot
+	// counts lose no charge to a race or to rounding.
+	if got := m.Component(Radio); got != 40000 {
+		t.Fatalf("radio = %v µJ, want exactly 40000", got)
+	}
+	if got := m.Component(Boot); got != 4_000_000 {
+		t.Fatalf("boot = %v µJ, want exactly 4000000", got)
+	}
+}
+
+// TestPerFrameChargesMatchOneCharge pins that a link charging every
+// radio frame on its own reads the same energy as one charge of the
+// frames' summed air time, whatever the frame durations.
+func TestPerFrameChargesMatchOneCharge(t *testing.T) {
+	frames, whole := NewMeter(NRF52840Profile()), NewMeter(NRF52840Profile())
+	var sum time.Duration
+	for i := range 2000 {
+		d := time.Millisecond + time.Duration(i%7)*7*time.Millisecond + time.Duration(i%3)*333*time.Nanosecond
+		frames.ChargeRadio(d)
+		sum += d
+	}
+	whole.ChargeRadio(sum)
+	if got, want := frames.Component(Radio), whole.Component(Radio); got != want {
+		t.Fatalf("2000 per-frame charges = %v µJ, one charge of their sum = %v µJ", got, want)
 	}
 }
 

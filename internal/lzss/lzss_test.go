@@ -2,10 +2,12 @@ package lzss
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func roundTrip(t *testing.T, src []byte) []byte {
@@ -260,4 +262,51 @@ func BenchmarkDecode100kB(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzLZSSDecoderRaw feeds the device-side decoder streams the encoder
+// could not have written, in fuzzed chunk sizes. Each Feed runs under a
+// watchdog, so a stalled decoder fails the input instead of hanging the
+// run; what is emitted never exceeds the header's declared length, and
+// a stream Close accepts has emitted exactly that length.
+func FuzzLZSSDecoderRaw(f *testing.F) {
+	enc := Encode(bytes.Repeat([]byte("lzss-raw-fuzz "), 40))
+	f.Add(enc, uint8(7))
+	f.Add(enc[:len(enc)/2], uint8(0))
+	f.Add(enc[:headerSize], uint8(255))
+	f.Add([]byte("LZSS\x00\x00\x10\x00\x00\xff\xff"), uint8(1))         // match before any output
+	f.Add([]byte("LZSS\xff\xff\xff\xff\xfe\x00\xfb\xff\xff"), uint8(2)) // huge declared length
+	f.Fuzz(func(t *testing.T, stream []byte, cut uint8) {
+		declared := -1
+		if len(stream) >= headerSize && [4]byte(stream[:4]) == magic {
+			declared = int(binary.BigEndian.Uint32(stream[4:headerSize]))
+		}
+		d := NewDecoder()
+		emitted := 0
+		emit := func(p []byte) error {
+			emitted += len(p)
+			if declared < 0 || emitted > declared {
+				t.Errorf("emitted %d bytes, header declares %d", emitted, declared)
+			}
+			return nil
+		}
+		step := int(cut)%64 + 1
+		for len(stream) > 0 {
+			n := min(step, len(stream))
+			done := make(chan error, 1)
+			go func(chunk []byte) { done <- d.Feed(chunk, emit) }(stream[:n])
+			select {
+			case err := <-done:
+				if err != nil {
+					return // rejected: the property is only that it returned
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Feed of %d bytes did not return", n)
+			}
+			stream = stream[n:]
+		}
+		if d.Close() == nil && emitted != declared {
+			t.Fatalf("accepted a stream after emitting %d of %d bytes", emitted, declared)
+		}
+	})
 }

@@ -10,37 +10,30 @@ package simclock
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Clock is a monotonically advancing virtual clock.
 //
 // The zero value is ready to use and starts at instant zero. Clock is
-// safe for concurrent use; concurrent advances serialize.
+// safe for concurrent use; an advance is one atomic add.
 type Clock struct {
-	mu  sync.Mutex
-	now time.Duration
+	now atomic.Int64
 }
 
 // New returns a clock starting at virtual instant zero.
 func New() *Clock { return &Clock{} }
 
 // Now reports the current virtual instant as an offset from the start.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // Advance moves the clock forward by d. Negative durations are ignored:
 // virtual time never moves backwards.
 func (c *Clock) Advance(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.now.Add(int64(d))
 	}
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
 }
 
 // Timer accumulates named spans of virtual time. It is used to break an

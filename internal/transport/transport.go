@@ -58,19 +58,18 @@ type Link struct {
 	telTransfers *telemetry.Counter
 	telBytes     *telemetry.Counter
 	telLost      *telemetry.Counter
-	telSeconds   *telemetry.Histogram
 }
 
-// SetTelemetry attaches a metrics registry: transfers, payload bytes,
-// lost frames, and per-transfer air time are recorded, labeled with the
-// link's name. Handles are resolved once here so Transfer stays on the
-// atomic fast path.
+// SetTelemetry attaches a metrics registry: transfers, payload bytes
+// and lost frames are counted, labeled with the link's name. Handles are
+// resolved once here so Transfer stays on the atomic fast path. Air time
+// is virtual and stays on the link's Clock and Meter, out of the
+// host-time registry.
 func (l *Link) SetTelemetry(reg *telemetry.Registry) {
 	lbl := telemetry.L("link", l.Name)
 	l.telTransfers = reg.Counter("upkit_link_transfers_total", "Radio transfers attempted per link.", lbl)
 	l.telBytes = reg.Counter("upkit_link_bytes_total", "Payload bytes put on the air per link.", lbl)
 	l.telLost = reg.Counter("upkit_link_lost_frames_total", "Transfers dropped by the loss model per link.", lbl)
-	l.telSeconds = reg.Histogram("upkit_link_transfer_seconds", "Per-transfer air time (virtual) per link.", nil, lbl)
 }
 
 // SetLoss enables a deterministic packet-loss model: each Transfer is
@@ -113,7 +112,6 @@ func (l *Link) Transfer(n int) (time.Duration, error) {
 	if n > 0 {
 		l.telBytes.Add(uint64(n))
 	}
-	l.telSeconds.ObserveDuration(d)
 	if l.lossRand != nil && l.lossRand.Float64() < l.lossRate {
 		l.telLost.Inc()
 		return d, ErrLost
