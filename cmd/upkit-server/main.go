@@ -13,8 +13,8 @@
 // from it over a real UDP socket.
 //
 // The server only answers: devices and gateways poll it for the latest
-// version and pull the update themselves (§III-B). Staged rollouts
-// across a fleet are internal/fleet's, which drives devices directly.
+// version and pull the update themselves (§III-B). Simulated fleets are
+// driven by internal/fleet, which makes each device pull directly.
 //
 // Serve-path scaling flags: -patch-state <dir> persists computed
 // differential patches across restarts, and -signers N bounds

@@ -1,13 +1,11 @@
-// Fleet campaign: a staged rollout across a heterogeneous fleet — the
-// deployment reality the paper's portability argument (§V) is about,
-// orchestrated by the campaign manager.
+// Fleet campaign: one release pulled across a heterogeneous fleet —
+// the deployment reality the paper's portability argument (§V) is
+// about, driven by the campaign worker pool.
 //
 // The fleet mixes the paper's three hardware platforms, both slot
 // configurations, differential and full updates, and one device with a
-// degraded radio. The campaign rolls out in stages — a canary wave,
-// then a broader wave, then the rest — promoting between stages only
-// while the failure gate holds, with a circuit breaker armed mid-wave
-// and per-device retries absorbing the lossy link.
+// degraded radio. Two workers make every device pull v2, and each
+// device gets up to two immediate retries.
 //
 // Run with: go run ./examples/fleet
 package main
@@ -86,13 +84,10 @@ func main() {
 		updaters[i] = nodes[i]
 	}
 
-	fmt.Printf("campaign: v1 -> v2 across %d devices (staged 20%% -> 60%% -> 100%%, retries on)\n\n", len(nodes))
+	fmt.Printf("campaign: v1 -> v2 across %d devices (2 workers, up to 2 retries)\n\n", len(nodes))
 	campaign, err := upkit.NewCampaign(2, upkit.CampaignPolicy{
-		Stages:               []float64{0.2, 0.6, 1},
-		MaxCanaryFailureRate: 0,
-		BreakerFailureRate:   0.5,
-		MaxRetries:           2,
-		Parallelism:          2,
+		Parallelism: 2,
+		MaxRetries:  2,
 	}, updaters)
 	if err != nil {
 		log.Fatal(err)

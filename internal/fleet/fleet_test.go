@@ -4,13 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"upkit/internal/telemetry"
 )
 
 // fakeDevice is a scriptable Updater.
@@ -74,7 +70,7 @@ func checkCounts(t *testing.T, report *Report, updated, failed, skipped int) {
 
 func TestCampaignAllSucceed(t *testing.T) {
 	devs := makeFleet(10, 1, 2)
-	c, err := New(2, Policy{CanaryFraction: 0.2, MaxRetries: 1}, updaters(devs))
+	c, err := New(2, Policy{MaxRetries: 1}, updaters(devs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,45 +84,6 @@ func TestCampaignAllSucceed(t *testing.T) {
 			t.Fatalf("device %#x on v%d", d.id, d.Version())
 		}
 	}
-}
-
-func TestCanaryGateAbortsCampaign(t *testing.T) {
-	devs := makeFleet(10, 1, 2)
-	// The first two devices (the canaries) never succeed.
-	devs[0].failures.Store(1000)
-	devs[1].failures.Store(1000)
-	c, err := New(2, Policy{CanaryFraction: 0.2, MaxCanaryFailureRate: 0.4, MaxRetries: 1}, updaters(devs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := c.Run()
-	if !errors.Is(err, ErrCampaignAborted) {
-		t.Fatalf("error = %v, want ErrCampaignAborted", err)
-	}
-	if !report.Aborted {
-		t.Fatal("report not marked aborted")
-	}
-	checkCounts(t, report, 0, 2, 8)
-	// The general population must never have been touched.
-	for _, d := range devs[2:] {
-		if d.attempts.Load() != 0 {
-			t.Fatalf("non-canary device %#x was attempted during an aborted campaign", d.id)
-		}
-	}
-}
-
-func TestCanaryGateTolerance(t *testing.T) {
-	devs := makeFleet(10, 1, 2)
-	devs[0].failures.Store(1000) // 1 of 5 canaries fails = 20%
-	c, err := New(2, Policy{CanaryFraction: 0.5, MaxCanaryFailureRate: 0.25, MaxRetries: 0}, updaters(devs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := c.Run()
-	if err != nil {
-		t.Fatalf("Run: %v (20%% failure is under the 25%% gate)", err)
-	}
-	checkCounts(t, report, 9, 1, 0)
 }
 
 func TestRetriesRecoverTransientFailures(t *testing.T) {
@@ -192,9 +149,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(0, Policy{}, []Updater{newFake(1, 1, 0)}); err == nil {
 		t.Error("target 0 accepted")
 	}
-	if _, err := New(1, Policy{CanaryFraction: 1.5}, []Updater{newFake(1, 1, 0)}); err == nil {
-		t.Error("canary fraction 1.5 accepted")
-	}
 }
 
 func TestParallelWaves(t *testing.T) {
@@ -255,7 +209,7 @@ func (d *cancelAfterUpdate) TryUpdate() (uint16, error) {
 
 func TestRunContextPreCanceled(t *testing.T) {
 	devs := makeFleet(6, 1, 2)
-	c, err := New(2, Policy{CanaryFraction: 0.34, Parallelism: 2}, updaters(devs))
+	c, err := New(2, Policy{Parallelism: 2}, updaters(devs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,20 +230,18 @@ func TestRunContextPreCanceled(t *testing.T) {
 	}
 }
 
-func TestRunContextCanceledBetweenWaves(t *testing.T) {
+func TestRunContextCanceledMidRun(t *testing.T) {
 	devs := makeFleet(5, 1, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The single canary cancels the context on success; the general
-	// population must then be skipped, not attempted.
+	// The first device cancels the context on success; with one worker
+	// the rest of the fleet must then be skipped, not attempted.
 	ups := updaters(devs)
 	ups[0] = &cancelAfterUpdate{fakeDevice: devs[0], cancel: cancel}
-	reg := telemetry.NewRegistry()
-	c, err := New(2, Policy{CanaryFraction: 0.2, MaxRetries: 2}, ups)
+	c, err := New(2, Policy{Parallelism: 1, MaxRetries: 2}, ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTelemetry(reg)
 	report, err := c.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
@@ -300,79 +252,7 @@ func TestRunContextCanceledBetweenWaves(t *testing.T) {
 			t.Fatalf("device %#x attempted after cancellation", d.id)
 		}
 	}
-	if got := reg.Counter("upkit_campaign_devices_total", "", telemetry.L("status", "skipped")).Value(); got != 4 {
-		t.Errorf("upkit_campaign_devices_total{status=skipped} = %d, want 4", got)
+	if !strings.Contains(report.Render(), "(canceled)") {
+		t.Errorf("canceled campaign not rendered as canceled:\n%s", report.Render())
 	}
-	if got := reg.Counter("upkit_campaign_devices_total", "", telemetry.L("status", "updated")).Value(); got != 1 {
-		t.Errorf("upkit_campaign_devices_total{status=updated} = %d, want 1", got)
-	}
-}
-
-// TestRetryJitterInjectableRand pins the backoff schedule with an
-// injected randomness source: the jitter math becomes exact, and the
-// campaign consults Policy.Rand (not the global math/rand) once per
-// retry wait.
-func TestRetryJitterInjectableRand(t *testing.T) {
-	p := Policy{RetryBackoff: 100 * time.Millisecond, RetryJitter: 0.5}
-	half := func() float64 { return 0.5 }
-	if got := retryDelay(p, 1, half); got != 125*time.Millisecond {
-		t.Errorf("retry 1 delay = %v, want 125ms", got)
-	}
-	if got := retryDelay(p, 2, half); got != 250*time.Millisecond {
-		t.Errorf("retry 2 delay = %v, want 250ms", got)
-	}
-	zero := func() float64 { return 0 }
-	if got := retryDelay(p, 1, zero); got != 100*time.Millisecond {
-		t.Errorf("retry 1 delay with zero jitter draw = %v, want 100ms", got)
-	}
-
-	var calls atomic.Int32
-	dev := newFake(0x42, 1, 2) // two failures, then success
-	dev.target = 2
-	c, err := New(2, Policy{
-		MaxRetries:   2,
-		RetryBackoff: time.Nanosecond,
-		RetryJitter:  1,
-		Rand:         func() float64 { calls.Add(1); return 0 },
-	}, updaters([]*fakeDevice{dev}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCounts(t, rep, 1, 0, 0)
-	// Three attempts means two retry waits, each drawing exactly once.
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("Policy.Rand consulted %d times, want 2", got)
-	}
-}
-
-// TestInjectedRandSerializedAcrossWaveGoroutines drives jittered
-// retries across a parallel wave with an injected *rand.Rand closure —
-// a source with no internal locking. The campaign must serialize the
-// draws; under -race this test fails if wave goroutines reach the
-// source concurrently.
-func TestInjectedRandSerializedAcrossWaveGoroutines(t *testing.T) {
-	devs := makeFleet(16, 1, 2)
-	for _, d := range devs {
-		d.failures.Store(2) // every device retries twice, drawing jitter
-	}
-	rng := rand.New(rand.NewSource(7))
-	c, err := New(2, Policy{
-		Parallelism:  8,
-		MaxRetries:   3,
-		RetryBackoff: time.Nanosecond,
-		RetryJitter:  1,
-		Rand:         rng.Float64,
-	}, updaters(devs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCounts(t, report, 16, 0, 0)
 }

@@ -30,8 +30,8 @@ func (g *goroutinePeak) sample() {
 }
 
 // simDevice is the engine-scale fake Updater: a few bytes of state and
-// no update work, so the campaign engine — scheduling, aggregation,
-// breaker — runs at 100k–1M devices, far past what full testbed stacks
+// no update work, so the campaign engine — scheduling and aggregation
+// — runs at 100k–1M devices, far past what full testbed stacks
 // fit in memory. Every update samples the goroutine count.
 type simDevice struct {
 	id      uint32

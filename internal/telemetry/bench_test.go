@@ -35,14 +35,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkGaugeAdd(b *testing.B) {
-	g := NewRegistry().Gauge("bench_gauge", "")
-	b.ReportAllocs()
-	for b.Loop() {
-		g.Add(1)
-	}
-}
-
 func BenchmarkNilCounterInc(b *testing.B) {
 	var c *Counter
 	b.ReportAllocs()

@@ -99,15 +99,8 @@ func writeFamily(w io.Writer, f *family, metrics []metricSnap) error {
 func writeMetric(w io.Writer, f *family, ms metricSnap) error {
 	m := ms.m
 	switch f.kind {
-	case kindCounter:
-		v := float64(m.c.Value())
-		if ms.fn != nil {
-			v = ms.fn()
-		}
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(m.labels), formatValue(v))
-		return err
-	case kindGauge:
-		v := m.g.Value()
+	case kindCounter, kindGauge:
+		v := float64(m.c.Value()) // a gauge has no counter and reads 0 until fn is set
 		if ms.fn != nil {
 			v = ms.fn()
 		}

@@ -1,8 +1,8 @@
 // Package telemetry is UpKit's unified observability layer: a
-// dependency-free metrics registry (counters, gauges, histograms) plus
-// lightweight phase spans that trace one update end-to-end across the
-// paper's four phases — generation, propagation, verification, loading
-// (§VI, Fig. 8a–c).
+// dependency-free metrics registry (counters, scrape-time gauges,
+// histograms) plus lightweight phase spans that trace one update
+// end-to-end across the paper's four phases — generation, propagation,
+// verification, loading (§VI, Fig. 8a–c).
 //
 // The registry is built for the server's hot path: once a handle is
 // resolved (Registry.Counter and friends), recording a sample is one or
@@ -85,42 +85,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can go up and down (stored as float64 bits).
-// A nil Gauge drops all samples.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta (CAS loop; contention-safe).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket cumulative histogram. Buckets are upper
 // bounds; an implicit +Inf bucket catches the rest. A nil Histogram
 // drops all samples.
@@ -185,9 +149,8 @@ var SizeBuckets = []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576}
 type metric struct {
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
-	fn     func() float64 // collector callback (counterFunc/gaugeFunc)
+	fn     func() float64 // collector callback (CounterFunc/GaugeFunc)
 }
 
 // family groups all label variants of one metric name.
@@ -259,8 +222,6 @@ func (r *Registry) resolve(name, help string, kind metricKind, bounds []float64,
 		switch kind {
 		case kindCounter:
 			m.c = &Counter{}
-		case kindGauge:
-			m.g = &Gauge{}
 		case kindHistogram:
 			m.h = &Histogram{bounds: f.bounds, buckets: make([]atomic.Uint64, len(f.bounds)+1)}
 		}
@@ -277,14 +238,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		return nil
 	}
 	return r.resolve(name, help, kindCounter, nil, labels).c
-}
-
-// Gauge returns the gauge handle for name + labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.resolve(name, help, kindGauge, nil, labels).g
 }
 
 // Histogram returns the histogram handle for name + labels. buckets are
@@ -312,7 +265,8 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape
-// time.
+// time. It is the only way to register a gauge: every gauge reports a
+// value its component already keeps.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return

@@ -16,11 +16,15 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 
-	g := r.Gauge("g", "a gauge")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %f, want 1.5", got)
+	level := 2.5
+	r.GaugeFunc("g", "a gauge", func() float64 { return level })
+	level = 1.5 // read at scrape time, not at registration
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\ng 1.5\n") {
+		t.Fatalf("gauge not scraped as 1.5:\n%s", b.String())
 	}
 
 	h := r.Histogram("h_seconds", "a histogram", []float64{1, 10})
@@ -51,7 +55,7 @@ func TestHandleIdentity(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("c", "").Inc()
-	r.Gauge("g", "").Set(1)
+	r.GaugeFunc("g", "", func() float64 { return 1 })
 	r.Histogram("h", "", nil).Observe(1)
 	r.CounterFunc("cf", "", func() float64 { return 1 })
 	r.Spans().Record(SpanKey{}, PhaseGeneration, time.Second)
@@ -63,8 +67,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc() // must not panic
 	var h *Histogram
 	h.Observe(1)
-	var g *Gauge
-	g.Add(1)
 }
 
 // TestConcurrentIncrementsAndScrape is the -race workout: parallel
@@ -81,11 +83,9 @@ func TestConcurrentIncrementsAndScrape(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("conc_total", "concurrent counter")
 			h := r.Histogram("conc_seconds", "concurrent histogram", nil)
-			g := r.Gauge("conc_gauge", "concurrent gauge")
 			for i := range perWriter {
 				c.Inc()
 				h.Observe(float64(i%7) * 0.01)
-				g.Add(1)
 				r.Spans().Record(SpanKey{DeviceID: uint32(w)}, PhaseVerification, time.Millisecond)
 			}
 			r.Spans().End(SpanKey{DeviceID: uint32(w)}, "done")
@@ -112,9 +112,6 @@ func TestConcurrentIncrementsAndScrape(t *testing.T) {
 	if got := r.Histogram("conc_seconds", "", nil).Count(); got != writers*perWriter {
 		t.Fatalf("histogram count = %d, want %d", got, writers*perWriter)
 	}
-	if got := r.Gauge("conc_gauge", "").Value(); got != writers*perWriter {
-		t.Fatalf("gauge = %f, want %d", got, writers*perWriter)
-	}
 	if got := len(r.Spans().Completed()); got != writers {
 		t.Fatalf("ended spans = %d, want %d", got, writers)
 	}
@@ -127,7 +124,7 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("upkit_requests_total", "Requests served.", L("result", "full")).Add(3)
 	r.Counter("upkit_requests_total", "Requests served.", L("result", "differential")).Add(7)
-	r.Gauge("upkit_cache_bytes", "Bytes cached.").Set(1536.5)
+	r.GaugeFunc("upkit_cache_bytes", "Bytes cached.", func() float64 { return 1536.5 })
 	h := r.Histogram("upkit_prepare_seconds", "Prepare latency.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -182,5 +179,5 @@ func TestReregisterKindPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("dup", "")
+	r.GaugeFunc("dup", "", func() float64 { return 0 })
 }

@@ -231,17 +231,18 @@ func NewProxyCache(origin coap.Exchanger, opts ProxyCacheOptions) *proxy.Cache {
 
 // Fleet campaigns.
 type (
-	// CampaignPolicy tunes staging, gates, retries, and parallelism.
+	// CampaignPolicy sets a campaign's worker count, per-device retries
+	// and per-device result sample.
 	CampaignPolicy = fleet.Policy
 	// FleetUpdater is one device's update entry point in a campaign.
 	FleetUpdater = fleet.Updater
 )
 
-// NewCampaign creates a rollout of target across devices in staged
-// waves with failure gates, a mid-wave circuit breaker, and per-device
-// retries. RunContext is the primary entry point (Run is a convenience
-// wrapper); canceling its context halts the rollout and skips the
-// devices not yet started.
+// NewCampaign creates a campaign that has a fixed pool of workers make
+// every device pull target, retrying a failed device immediately up to
+// MaxRetries times. RunContext is the primary entry point (Run is a
+// convenience wrapper); canceling its context stops the campaign and
+// skips the devices not yet started.
 func NewCampaign(target uint16, policy CampaignPolicy, devices []FleetUpdater) (*fleet.Campaign, error) {
 	return fleet.New(target, policy, devices)
 }
