@@ -16,15 +16,20 @@
 // Timing is modelled, content is real: every byte written here is a byte
 // the update pipeline actually produced.
 //
-// The backing store is sparse and content-shared: an erased sector has
-// no buffer, and a sector programmed whole in one call refers to the one
-// process-wide copy of its content (shared.go) until a later program or
-// Corrupt gives it a private copy. Both are host-side economies only.
-// Every erase, page program and page read is still performed, counted,
-// charged to the clock and offered to fault injection exactly as if the
-// chip were one dense array — including programs of 0xFF into an erased
-// sector and erases of an already-erased one, which the modelled device
-// does pay for.
+// The backing store is sparse and content-shared (shared.go): an erased
+// sector has no buffer, and a sector whose content is complete refers to
+// the one process-wide copy of that content until a later program or
+// Corrupt gives it a private copy again. A sector is complete when one
+// program covers it whole, or when a page that ends on its last byte is
+// programmed (completion sharing): then the content table takes the
+// chip's own buffer as the shared copy (adoption) or, holding the
+// content already, lets the chip drop its buffer, which goes back to a
+// pool for the next private sector (recycling). All of it is a
+// host-side economy only. Every erase, page program and page read is
+// still performed, counted, charged to the clock and offered to fault
+// injection exactly as if the chip were one dense array — including
+// programs of 0xFF into an erased sector and erases of an already-erased
+// one, which the modelled device does pay for.
 package flash
 
 import (
@@ -104,12 +109,15 @@ type Memory struct {
 	mu  sync.Mutex
 	geo Geometry
 	// sectors holds the content of each erase sector; nil means erased
-	// (every byte 0xFF). A buffer appears on the first program that
+	// (every byte 0xFF). A chunk appears on the first program that
 	// clears a bit and goes away on the next erase.
-	sectors [][]byte
-	// shared[sec], if set, is the canonical chunk sectors[sec] aliases:
-	// the sector is read-only until writableLocked copies it.
-	shared []*chunk
+	sectors []*chunk
+	// shared[sec] marks sectors[sec] as the content table's canonical
+	// copy: the sector is read-only until writableLocked copies it. A
+	// sector that is not shared owns its chunk, and pool takes the chunk
+	// back when the sector drops it.
+	shared []bool
+	pool   *sync.Pool
 	clock  *simclock.Clock
 	stats  Stats
 
@@ -130,8 +138,9 @@ func New(geo Geometry, clock *simclock.Clock) (*Memory, error) {
 	sectors := geo.Size / geo.SectorSize
 	return &Memory{
 		geo:         geo,
-		sectors:     make([][]byte, sectors),
-		shared:      make([]*chunk, sectors),
+		sectors:     make([]*chunk, sectors),
+		shared:      make([]bool, sectors),
+		pool:        poolFor(geo.SectorSize),
 		clock:       clock,
 		eraseCounts: make([]int, sectors),
 		failAfter:   -1,
@@ -216,7 +225,7 @@ func (m *Memory) EraseSector(offset int) error {
 		return ErrPowerLoss
 	}
 	sec := offset / m.geo.SectorSize
-	m.sectors[sec], m.shared[sec] = nil, nil // erased: no buffer
+	m.dropLocked(sec) // erased: no buffer
 	m.stats.SectorErases++
 	m.eraseCounts[sec]++
 	m.mu.Unlock()
@@ -265,6 +274,9 @@ func (m *Memory) Program(offset int, data []byte) error {
 		pageEnd := ((offset+start)/m.geo.PageSize + 1) * m.geo.PageSize
 		end := min(len(data), pageEnd-offset)
 		m.programPageLocked(offset+start, data[start:end])
+		if at := offset + end; at%ss == 0 {
+			m.completeLocked(at/ss - 1)
+		}
 		written += end - start
 		pages++
 		start = end
@@ -354,15 +366,35 @@ func isErased(b []byte) bool {
 // writableLocked returns a private buffer of sector sec, giving an
 // erased sector one and copying a shared one first.
 func (m *Memory) writableLocked(sec int) []byte {
-	switch {
-	case m.sectors[sec] == nil:
-		buf := make([]byte, m.geo.SectorSize)
-		fillErased(buf)
-		m.sectors[sec] = buf
-	case m.shared[sec] != nil:
-		m.sectors[sec], m.shared[sec] = bytes.Clone(m.sectors[sec]), nil
+	switch c := m.sectors[sec]; {
+	case c == nil:
+		own := m.newChunk()
+		fillErased(own.b)
+		m.sectors[sec] = own
+	case m.shared[sec]:
+		own := m.newChunk()
+		copy(own.b, c.b)
+		m.sectors[sec], m.shared[sec] = own, false
 	}
-	return m.sectors[sec]
+	return m.sectors[sec].b
+}
+
+// newChunk returns a private chunk of one sector, a recycled one if the
+// pool has it. Its content is whatever it held last.
+func (m *Memory) newChunk() *chunk {
+	if c, _ := m.pool.Get().(*chunk); c != nil {
+		return c
+	}
+	return &chunk{b: make([]byte, m.geo.SectorSize)}
+}
+
+// dropLocked leaves sector sec erased. A private chunk goes back to the
+// pool; a shared one is only let go.
+func (m *Memory) dropLocked(sec int) {
+	if c := m.sectors[sec]; c != nil && !m.shared[sec] {
+		m.pool.Put(c)
+	}
+	m.sectors[sec], m.shared[sec] = nil, false
 }
 
 // shareLocked makes erased sector sec hold content, a whole sector, by
@@ -371,8 +403,23 @@ func (m *Memory) shareLocked(sec int, content []byte) {
 	if isErased(content) {
 		return
 	}
-	c := intern(content)
-	m.sectors[sec], m.shared[sec] = c.b, c
+	m.sectors[sec], m.shared[sec] = intern(content), true
+}
+
+// completeLocked offers sector sec, whose last page a program has just
+// written, to the content table. A private sector whose content the
+// table holds takes the canonical copy and recycles its own chunk; one
+// whose content is new becomes the canonical copy itself.
+func (m *Memory) completeLocked(sec int) {
+	own := m.sectors[sec]
+	if own == nil || m.shared[sec] {
+		return
+	}
+	if c := adopt(own); c != own {
+		m.pool.Put(own)
+		m.sectors[sec] = c
+	}
+	m.shared[sec] = true
 }
 
 // readLocked copies the content at [offset, offset+len(buf)) into buf.
@@ -381,8 +428,8 @@ func (m *Memory) readLocked(offset int, buf []byte) {
 	for len(buf) > 0 {
 		o := offset % ss
 		n := min(len(buf), ss-o)
-		if sector := m.sectors[offset/ss]; sector != nil {
-			copy(buf[:n], sector[o:])
+		if c := m.sectors[offset/ss]; c != nil {
+			copy(buf[:n], c.b[o:])
 		} else {
 			fillErased(buf[:n])
 		}
@@ -398,8 +445,8 @@ func (m *Memory) firstSetBitLocked(offset int, data []byte) int {
 	for done := 0; done < len(data); {
 		o := (offset + done) % ss
 		n := min(len(data)-done, ss-o)
-		if sector := m.sectors[(offset+done)/ss]; sector != nil {
-			if i := firstSetBit(sector[o:o+n], data[done:done+n]); i >= 0 {
+		if c := m.sectors[(offset+done)/ss]; c != nil {
+			if i := firstSetBit(c.b[o:o+n], data[done:done+n]); i >= 0 {
 				return done + i
 			}
 		}
@@ -414,13 +461,13 @@ func (m *Memory) firstSetBitLocked(offset int, data []byte) int {
 func (m *Memory) programPageLocked(offset int, src []byte) {
 	ss := m.geo.SectorSize
 	sec, o := offset/ss, offset%ss
-	switch {
-	case m.sectors[sec] == nil:
+	switch c := m.sectors[sec]; {
+	case c == nil:
 		if isErased(src) {
 			return
 		}
-	case m.shared[sec] != nil:
-		if firstSetBit(src, m.sectors[sec][o:o+len(src)]) < 0 {
+	case m.shared[sec]:
+		if firstSetBit(src, c.b[o:o+len(src)]) < 0 {
 			return // clears nothing: the shared copy stays right
 		}
 	}
@@ -433,7 +480,7 @@ func (m *Memory) programPageLocked(offset int, src []byte) {
 func (m *Memory) loadLocked(raw []byte) {
 	ss := m.geo.SectorSize
 	for sec := range m.sectors {
-		m.sectors[sec], m.shared[sec] = nil, nil
+		m.dropLocked(sec)
 		lo := sec * ss
 		switch {
 		case lo+ss <= len(raw):

@@ -166,7 +166,7 @@ func runDifferential(t *testing.T, input []byte) {
 	for p := 0; p < geo.SectorSize; p += 2 * geo.PageSize {
 		fillErased(palette[1][p:min(p+geo.PageSize, geo.SectorSize)])
 	}
-	const ops = 17
+	const ops = 18
 	for !s.done {
 		b := s.byte()
 		c, other := &d.chips[b/ops%2], &d.chips[1-b/ops%2]
@@ -262,6 +262,47 @@ func runDifferential(t *testing.T, input []byte) {
 			c.sparse.mu.Unlock()
 			c.dense.load(raw)
 			d.check(c, fmt.Sprintf("restore %d bytes", len(raw)), nil, nil)
+		case 17: // fill an erased sector page by page, then clear bits in it
+			sec, k := s.byte()%sectors, s.byte()
+			off, content := sec*geo.SectorSize, palette[k%len(palette)]
+			d.check(c, fmt.Sprintf("erase %#x", off), c.sparse.EraseSector(off), c.dense.EraseSector(off))
+			head := 0
+			if k&4 != 0 {
+				head = 256 % geo.SectorSize // the slot writer starts past the manifest's 256 bytes
+			}
+			var pieces [][2]int // one program each, none crossing a page
+			for p := head; p < geo.SectorSize; p = (p/geo.PageSize + 1) * geo.PageSize {
+				pieces = append(pieces, [2]int{p, min((p/geo.PageSize+1)*geo.PageSize, geo.SectorSize)})
+			}
+			if head > 0 {
+				if k&8 != 0 { // the head last: it lands on a shared sector
+					pieces = append(pieces, [2]int{0, head})
+				} else {
+					pieces = append([][2]int{{0, head}}, pieces...)
+				}
+			}
+			fault := k&16 != 0
+			if fault { // due on the completing page: it tears and completes nothing
+				for i, p := range pieces {
+					if p[1] == geo.SectorSize {
+						c.sparse.FailAfter(i)
+						c.dense.FailAfter(i)
+					}
+				}
+			}
+			for _, p := range pieces {
+				d.program(c, "page-fill", off+p[0], content[p[0]:p[1]])
+			}
+			if fault {
+				c.sparse.ClearFault()
+				c.dense.ClearFault()
+			}
+			at := off + s.word()%geo.SectorSize // copy-on-write after a late share
+			data := d.current(c, at, 1+s.byte()%8)
+			for i, mask := range randomData(len(data)) {
+				data[i] &= mask
+			}
+			d.program(c, "clear-after-fill", at, data)
 		}
 	}
 	d.snapshot()

@@ -436,7 +436,10 @@ func (d *Decoder) Restore(blob []byte) error {
 	p += 2
 	wpos := int(binary.BigEndian.Uint16(blob[p:]))
 	p += 2
-	if flagsLeft > 8 || pendingN > 1 || wpos >= windowSize || emitted > total {
+	// Before the header is parsed nothing has been emitted: parsing it
+	// replaces total, which must not fall below emitted.
+	if flagsLeft > 8 || pendingN > 1 || wpos >= windowSize || emitted > total ||
+		state == stateHeader && emitted != 0 {
 		return fmt.Errorf("%w: inconsistent cursors", ErrBadCheckpoint)
 	}
 	copy(d.window[:], blob[p:p+windowSize])

@@ -310,3 +310,16 @@ func FuzzLZSSDecoderRaw(f *testing.F) {
 		}
 	})
 }
+
+// TestRestoreRejectsOutputBeforeHeader: a checkpoint taken before the
+// header is parsed has emitted nothing. One that claims otherwise is
+// rejected, since the header's length would replace the total it was
+// checked against.
+func TestRestoreRejectsOutputBeforeHeader(t *testing.T) {
+	cp := NewDecoder().Checkpoint()
+	binary.BigEndian.PutUint32(cp[7+headerSize:], 1000) // total
+	binary.BigEndian.PutUint32(cp[7+headerSize+4:], 10) // emitted
+	if err := NewDecoder().Restore(cp); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("Restore: %v, want ErrBadCheckpoint", err)
+	}
+}

@@ -2,9 +2,13 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"testing"
+	"time"
 
 	"upkit/internal/bsdiff"
 	"upkit/internal/lzss"
@@ -183,4 +187,91 @@ func TestParseCheckpointRejectsGarbage(t *testing.T) {
 	if _, err := ParseCheckpoint(blob); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("trailing byte: error = %v, want ErrBadCheckpoint", err)
 	}
+}
+
+// applierCursors reads the declared new-image size and the bytes
+// emitted so far from a bsdiff.Applier checkpoint, whose last 28 bytes
+// are newSize, oldPos (8 bytes), emitted, diffLeft, extraLeft and seek.
+func applierCursors(blob []byte) (newSize, emitted int) {
+	tail := blob[len(blob)-28:]
+	return int(binary.BigEndian.Uint32(tail)), int(binary.BigEndian.Uint32(tail[12:]))
+}
+
+// within runs call on its own goroutine and fails t if it has not
+// returned after 5 s.
+func within(t *testing.T, what string, call func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return", what)
+		return nil
+	}
+}
+
+// FuzzCheckpointRestoreRaw feeds raw bytes to ParseCheckpoint: the blob
+// a device reads back from its reception journal after a power loss. An
+// accepted checkpoint is restored into a fresh differential, encrypted
+// pipeline over a small base, which then takes a few chunks of the
+// payload from the position the checkpoint claims. Every call runs
+// under a watchdog. Properties: no call panics or stalls, and the
+// firmware bytes out never exceed the size the patch declares.
+func FuzzCheckpointRestoreRaw(f *testing.F) {
+	rng := rand.New(rand.NewSource(44))
+	base := make([]byte, 2048)
+	rng.Read(base)
+	target := append(bytes.Clone(base), "grown"...)
+	copy(target[700:], bytes.Repeat([]byte{0xCD}, 64))
+	key := bytes.Repeat([]byte{0x33}, 16)
+	wire, err := security.EncryptPayload(key, lzss.Encode(bsdiff.Diff(base, target)), rng)
+	if err != nil {
+		f.Fatal(err)
+	}
+	build := func(t testing.TB, sink io.Writer) *Pipeline {
+		p := NewDifferential(bytes.NewReader(base), sink, 256)
+		if err := p.EnableDecryption(key); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, split := range []int{0, 5, security.PayloadIVSize + 1, len(wire) / 2, len(wire)} {
+		p := build(f, io.Discard)
+		if _, err := p.Write(wire[:split]); err != nil {
+			f.Fatal(err)
+		}
+		c, err := p.Checkpoint()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(c.Marshal(), uint8(split))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte, cut uint8) {
+		var c *Checkpoint
+		if within(t, "ParseCheckpoint", func() (err error) { c, err = ParseCheckpoint(blob); return err }) != nil {
+			return
+		}
+		var sink bytes.Buffer
+		p := build(t, &sink)
+		if within(t, "Restore", func() error { return p.Restore(c) }) != nil {
+			return
+		}
+		_, emitted0 := applierCursors(p.app.Checkpoint())
+		rest := wire[min(c.BytesIn(), len(wire)):]
+		step := int(cut)%200 + 1
+		for range 4 {
+			n := min(step, len(rest))
+			err := within(t, fmt.Sprintf("Write of %d bytes", n), func() error { _, err := p.Write(rest[:n]); return err })
+			newSize, emitted := applierCursors(p.app.Checkpoint())
+			if out := sink.Len() + p.n; out != emitted-emitted0 || out > 0 && emitted > newSize {
+				t.Fatalf("%d bytes out, %d emitted past the restored %d, patch declares %d", out, emitted-emitted0, emitted0, newSize)
+			}
+			if err != nil || n == len(rest) {
+				return
+			}
+			rest = rest[n:]
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Payload encryption implements the paper's future-work item (§VIII):
@@ -73,7 +74,7 @@ type PayloadDecrypter struct {
 	ivN    int
 	stream cipher.Stream
 	// off counts plaintext bytes produced so far; a restored decrypter
-	// fast-forwards the CTR keystream by this much.
+	// seeks the CTR keystream to it.
 	off uint64
 }
 
@@ -131,7 +132,7 @@ func (d *PayloadDecrypter) Checkpoint() []byte {
 }
 
 // Restore overwrites the decrypter's state from a Checkpoint snapshot,
-// fast-forwarding the keystream to the recorded plaintext offset.
+// seeking the keystream to the recorded plaintext offset.
 func (d *PayloadDecrypter) Restore(blob []byte) error {
 	if len(blob) != DecrypterCheckpointSize ||
 		[4]byte(blob[:4]) != decrypterCkptMagic || blob[4] != decrypterCkptVersion {
@@ -147,15 +148,25 @@ func (d *PayloadDecrypter) Restore(blob []byte) error {
 	d.off = 0
 	d.stream = nil
 	if ivN == PayloadIVSize {
-		d.stream = cipher.NewCTR(d.block, d.iv[:])
-		var sink [512]byte
-		for off > d.off {
-			n := min(uint64(len(sink)), off-d.off)
-			d.stream.XORKeyStream(sink[:n], sink[:n])
-			d.off += n
-		}
+		d.stream = cipher.NewCTR(d.block, seekCounter(d.iv, off/aes.BlockSize))
+		var sink [aes.BlockSize]byte
+		n := off % aes.BlockSize
+		d.stream.XORKeyStream(sink[:n], sink[:n])
+		d.off = off
 	} else if off != 0 {
 		return fmt.Errorf("%w: offset before full IV", ErrBadCheckpoint)
 	}
 	return nil
+}
+
+// seekCounter returns the counter block CTR mode started at iv reaches
+// after blocks blocks: iv plus blocks as 128-bit big-endian integers,
+// wrapping as the mode's own increment does. Restore seeks with it in
+// constant time, whatever offset a checkpoint read back from flash
+// claims.
+func seekCounter(iv [PayloadIVSize]byte, blocks uint64) []byte {
+	lo, carry := bits.Add64(binary.BigEndian.Uint64(iv[8:]), blocks, 0)
+	binary.BigEndian.PutUint64(iv[8:], lo)
+	binary.BigEndian.PutUint64(iv[:8], binary.BigEndian.Uint64(iv[:8])+carry)
+	return iv[:]
 }

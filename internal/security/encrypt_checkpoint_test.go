@@ -2,9 +2,12 @@ package security
 
 import (
 	"bytes"
+	"crypto/aes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // TestDecrypterCheckpointEverySplit cuts a ciphertext at every byte
@@ -71,5 +74,90 @@ func TestDecrypterRestoreRejectsBadCheckpoints(t *testing.T) {
 	cp[len(cp)-1] = 9
 	if err := d.Restore(cp); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("offset before IV: error = %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// TestDecrypterRestoreSeeksAcrossCarries resumes at every split of a
+// payload whose IV makes the counter carry into its high half, and one
+// whose counter wraps around all 128 bits, as the CTR mode's own
+// increment does.
+func TestDecrypterRestoreSeeksAcrossCarries(t *testing.T) {
+	key := bytes.Repeat([]byte{0x43}, 16)
+	plaintext := bytes.Repeat([]byte("carry"), 40)
+	for _, iv := range [][]byte{
+		append(bytes.Repeat([]byte{0x00}, 8), bytes.Repeat([]byte{0xFF}, 8)...),
+		bytes.Repeat([]byte{0xFF}, 16),
+	} {
+		ct, err := EncryptPayload(key, plaintext, bytes.NewReader(iv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for split := PayloadIVSize; split <= len(ct); split++ {
+			d1, err := NewPayloadDecrypter(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []byte
+			sink := func(p []byte) error { out = append(out, p...); return nil }
+			if err := d1.Feed(ct[:split], sink); err != nil {
+				t.Fatal(err)
+			}
+			d2, err := NewPayloadDecrypter(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d2.Restore(d1.Checkpoint()); err != nil {
+				t.Fatal(err)
+			}
+			if err := d2.Feed(ct[split:], sink); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, plaintext) {
+				t.Fatalf("iv %x split=%d: spliced plaintext mismatch", iv, split)
+			}
+		}
+	}
+}
+
+// TestDecrypterRestoreFarOffset: a checkpoint read back from flash can
+// claim any offset. Restore seeks to it at once instead of generating
+// the keystream up to it, and the next byte is the keystream byte at
+// that offset.
+func TestDecrypterRestoreFarOffset(t *testing.T) {
+	key := bytes.Repeat([]byte{0x44}, 16)
+	d, err := NewPayloadDecrypter(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Feed(bytes.Repeat([]byte{0x01}, PayloadIVSize), func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	cp := d.Checkpoint()
+	const off = 1<<62 + 5
+	binary.BigEndian.PutUint64(cp[len(cp)-8:], off)
+	done := make(chan error, 1)
+	go func() { done <- d.Restore(cp) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Restore at a far offset did not return")
+	}
+	var got []byte
+	if err := d.Feed([]byte{0x00}, func(p []byte) error { got = append(got, p...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := bytes.Repeat([]byte{0x01}, 16) // the IV, plus off/16 blocks
+	binary.BigEndian.PutUint64(ctr[8:], binary.BigEndian.Uint64(ctr[8:])+off/16)
+	var ks [16]byte
+	block.Encrypt(ks[:], ctr)
+	if len(got) != 1 || got[0] != ks[off%16] {
+		t.Fatalf("byte at offset %d decrypts to %x, want %x", uint64(off), got, ks[off%16])
 	}
 }

@@ -72,17 +72,6 @@ func (t *Timer) Phase(phase string) time.Duration {
 	return t.spans[phase]
 }
 
-// Total reports the sum over all phases.
-func (t *Timer) Total() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var sum time.Duration
-	for _, d := range t.spans {
-		sum += d
-	}
-	return sum
-}
-
 // Snapshot returns a copy of all phase accumulators.
 func (t *Timer) Snapshot() map[string]time.Duration {
 	t.mu.Lock()

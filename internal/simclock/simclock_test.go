@@ -81,9 +81,6 @@ func TestTimerPhases(t *testing.T) {
 	if got := tm.Phase("loading"); got != 3*time.Second {
 		t.Errorf("Phase(loading) = %v, want 3s", got)
 	}
-	if got := tm.Total(); got != 7*time.Second {
-		t.Errorf("Total() = %v, want 7s", got)
-	}
 }
 
 func TestTimerSnapshotIsCopy(t *testing.T) {
